@@ -17,11 +17,10 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import GuardViolation, InvalidConfigurationError, InvalidModelError
-from .exact import CollapsedSpace, tv_collapsed
-from .model import SpinSystem, classify_field, disjoint_union, FIELD_ZERO
+from .exact import tv_collapsed
+from .model import Configuration, SpinSystem, classify_field, disjoint_union, FIELD_ZERO
 from .potts import ANSWER_HIGH, ANSWER_LOW
 
 DEFAULT_CONFIDENCE = 5.0 / 8.0
@@ -54,41 +53,11 @@ class CountingOutcome:
             raise InvalidConfigurationError(f"unknown provenance {self.provenance!r}")
 
 
-# -- collapsed-space dispatch ----------------------------------------------------
-
-
-def collapsed_pair(instance) -> tuple[CollapsedSpace, CollapsedSpace]:
-    """(visible, hidden) collapsed spaces for a reduction instance."""
-    from . import hubs, potts
-
-    if isinstance(instance, hubs.HubInstance):
-        return (
-            hubs.collapsed_distribution_hub(instance, "visible"),
-            hubs.collapsed_distribution_hub(instance, "hidden"),
-        )
-    if isinstance(instance, potts.PottsInstance):
-        return (
-            potts.collapsed_distribution_F(instance, "visible"),
-            potts.collapsed_distribution_F(instance, "hidden"),
-        )
-    raise InvalidModelError(
-        f"no collapsed space available for {type(instance).__name__}"
-    )
-
-
-def collapsed_class_of(instance, sigma) -> tuple:
-    from . import hubs, potts
-
-    if isinstance(instance, hubs.HubInstance):
-        return hubs.collapsed_class_of(instance, sigma)
-    if isinstance(instance, potts.PottsInstance):
-        return potts.collapsed_class_of(instance, sigma)
-    raise InvalidModelError(
-        f"no collapsed class map available for {type(instance).__name__}"
-    )
-
-
 # -- testers ----------------------------------------------------------------------
+#
+# A reduction instance (hubs.HubInstance, potts.PottsInstance) carries its
+# cached ``collapsed_pair`` (visible, hidden) and a vectorised
+# ``class_index(spins_matrix)`` into that pair's class layout.
 
 
 def oracle_tv_tester(epsilon: float, L: int) -> Callable:
@@ -99,7 +68,7 @@ def oracle_tv_tester(epsilon: float, L: int) -> Callable:
     threshold = 0.5 * (1.0 / (16.0 * L) + (1.0 - epsilon))
 
     def tester(instance, samples: Sequence, rng=None) -> bool:
-        vis, hid = collapsed_pair(instance)
+        vis, hid = instance.collapsed_pair
         return tv_collapsed(vis, hid) <= threshold
 
     tester.kind = "oracle-tv"
@@ -114,13 +83,11 @@ def empirical_tester(epsilon: float, L: int) -> Callable:
     threshold = 0.5 * (1.0 / (16.0 * L) + (1.0 - epsilon))
 
     def tester(instance, samples: Sequence, rng=None) -> bool:
-        vis, _ = collapsed_pair(instance)
-        index = {d: i for i, d in enumerate(vis.descriptors)}
-        counts = np.zeros(len(vis.descriptors), dtype=float)
-        for sigma in samples:
-            counts[index[collapsed_class_of(instance, sigma)]] += 1.0
         if not samples:
             raise InvalidConfigurationError("empirical tester needs samples")
+        vis, _ = instance.collapsed_pair
+        spins = [s.spins if isinstance(s, Configuration) else s for s in samples]
+        counts = np.bincount(instance.class_index(spins), minlength=vis.layout.size)
         emp = counts / counts.sum()
         # class probability = exp(log_count + log_weight - log_Z)
         p = np.exp(vis.log_count + vis.log_weight - vis.log_Z)
@@ -252,6 +219,8 @@ def crude_bounds(model: SpinSystem) -> tuple[float, float]:
 
 def crude_exponent(model: SpinSystem, margin: float = 1e-9) -> float:
     """The smallest c1 with e^{-c1 n^2} ≤ Z ≤ e^{c1 n^2} per crude_bounds."""
+    if model.n == 0:
+        raise InvalidModelError("crude_exponent needs at least one vertex")
     lo, hi = crude_bounds(model)
     return (max(abs(lo), abs(hi)) + margin) / float(model.n * model.n)
 
@@ -260,6 +229,8 @@ def amplify_copies(model: SpinSystem, c: float, rho: float) -> tuple[SpinSystem,
     """Disjoint union of k copies, k the smallest integer ≥ c·ln(kn)/ρ."""
     if c <= 0 or rho <= 0:
         raise InvalidConfigurationError("amplification needs c, rho > 0")
+    if model.n == 0:
+        raise InvalidModelError("amplify_copies needs at least one vertex")
     k = 1
     while k < c * math.log(k * model.n) / rho:
         k += 1
@@ -269,6 +240,25 @@ def amplify_copies(model: SpinSystem, c: float, rho: float) -> tuple[SpinSystem,
 
 
 # -- trial harness ----------------------------------------------------------------------
+
+
+def _build_once(builder: Callable) -> Callable:
+    """A builder that runs ``builder`` on its first call and then replays the
+    same instance, or re-raises the same GuardViolation, on every later call.
+    Valid because builders are deterministic in (G, log_Zhat)."""
+    built: list = []
+
+    def once(G: SpinSystem, log_Zhat: float):
+        if not built:
+            try:
+                built.append(builder(G, log_Zhat))
+            except GuardViolation as gv:
+                built.append(gv)
+        if isinstance(built[0], GuardViolation):
+            raise built[0].with_traceback(None)
+        return built[0]
+
+    return once
 
 
 def run_reduction_trials(
@@ -285,18 +275,21 @@ def run_reduction_trials(
 ) -> list[dict]:
     """One reduction trial per (branch, seed); returns JSON-ready dicts.
 
-    ``branches`` lists (branch name, log_Zhat, expected answer).  Report
+    ``branches`` lists (branch name, log_Zhat, expected answer); each
+    branch's instance is built once and shared by all its seeds.  Report
     keys: seed, branch, Zhat, r, tester, answer, correct, tv_exact when a
-    collapsed space is available, and runtime_ms only when ``timing``.
+    collapsed space is available, and runtime_ms only when ``timing`` (the
+    first seed of a branch also pays for the build).
     """
     reports = []
     for name, log_Zhat, expected in branches:
         query = DecisionQuery(log_Zhat=log_Zhat, r=r)
+        branch_builder = _build_once(builder)
         for seed in seeds:
             rng = np.random.default_rng(seed)
             t0 = time.perf_counter()
             outcome = run_generic_reduction(
-                G, query, builder, hidden_sampler, tester, L, rng
+                G, query, branch_builder, hidden_sampler, tester, L, rng
             )
             elapsed_ms = 1000.0 * (time.perf_counter() - t0)
             report = {
@@ -311,12 +304,9 @@ def run_reduction_trials(
                 "correct": outcome.answer == expected,
             }
             if outcome.provenance == PROVENANCE_TESTER:
-                try:
-                    instance = builder(G, log_Zhat)
-                    vis, hid = collapsed_pair(instance)
-                    report["tv_exact"] = tv_collapsed(vis, hid)
-                except (GuardViolation, InvalidModelError):
-                    pass
+                instance = branch_builder(G, log_Zhat)
+                if hasattr(instance, "collapsed_pair"):
+                    report["tv_exact"] = tv_collapsed(*instance.collapsed_pair)
             if timing:
                 report["runtime_ms"] = elapsed_ms
             reports.append(report)

@@ -30,7 +30,8 @@ def check_budget(model: SpinSystem, budget_bits: float = DEFAULT_BUDGET_BITS) ->
 def decode_spins(model: SpinSystem, indices: np.ndarray) -> np.ndarray:
     """Spins matrix (len(indices), n) for base-q state indices."""
     q, n = model.q, model.n
-    out = np.empty((len(indices), n), dtype=np.int8)
+    # smallest signed integer dtype holding 0..q-1 (int8 up to q=128)
+    out = np.empty((len(indices), n), dtype=np.min_scalar_type(-q))
     rem = indices.copy()
     for v in range(n):
         out[:, v] = rem % q
@@ -143,7 +144,6 @@ class ExactDistribution:
     model: SpinSystem
     log_Z: float
     log_probs: np.ndarray  # indexed by base-q state index
-    order: str = "lexicographic-base-q-lsb-vertex-0"
 
     @classmethod
     def from_model(
@@ -192,20 +192,30 @@ def dump_distribution_csv(dist: ExactDistribution, path: str) -> None:
 
 
 @dataclass(frozen=True)
+class ClassLayout:
+    """How a collapsed space numbers its classes: ``key`` names the class
+    structure (e.g. ``("hub", N)``) and ``size`` is the class count.  Spaces
+    with equal layouts index the same classes in the same order."""
+
+    key: tuple
+    size: int
+
+
+@dataclass(frozen=True)
 class CollapsedSpace:
     """A partition of configuration space into constant-weight classes.
 
-    Each class has a hashable descriptor, a log state count and the common
-    per-configuration log-weight.  Two spaces over identical descriptor
-    tuples are directly comparable via :func:`tv_collapsed`.
+    Class ``i`` of ``layout`` has log state count ``log_count[i]`` and common
+    per-configuration log-weight ``log_weight[i]``.  Two spaces with equal
+    layouts are directly comparable via :func:`tv_collapsed`.
     """
 
-    descriptors: tuple
+    layout: ClassLayout
     log_count: np.ndarray
     log_weight: np.ndarray
 
     def __post_init__(self) -> None:
-        if not (len(self.descriptors) == len(self.log_count) == len(self.log_weight)):
+        if not (self.layout.size == len(self.log_count) == len(self.log_weight)):
             raise InvalidModelError("collapsed-space arrays must align")
 
     @property
@@ -217,10 +227,18 @@ class CollapsedSpace:
         return t - logsumexp(t)
 
 
+def class_probs(log_count: np.ndarray, log_weight: np.ndarray) -> np.ndarray:
+    """Normalised probabilities of classes with the given log counts and
+    per-configuration log-weights, ready for ``rng.choice(p=...)``."""
+    t = log_count + log_weight
+    p = np.exp(t - logsumexp(t))
+    return p / p.sum()
+
+
 def tv_collapsed(space_a: CollapsedSpace, space_b: CollapsedSpace) -> float:
     """TV distance between two models sharing a collapsed class structure."""
-    if space_a.descriptors != space_b.descriptors:
-        raise InvalidModelError("collapsed spaces have mismatched class descriptors")
+    if space_a.layout != space_b.layout:
+        raise InvalidModelError("collapsed spaces have mismatched class layouts")
     if not np.array_equal(space_a.log_count, space_b.log_count):
         raise InvalidModelError("collapsed spaces have mismatched class counts")
     ma = np.exp(space_a.log_class_masses())

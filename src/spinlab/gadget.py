@@ -189,8 +189,6 @@ class BlowupInstance:
     gadget: Gadget
     beta_hat: float
     model: SpinSystem
-    # base edge -> ((L_v ports, R_u ports), (R_v ports, L_u ports)) as global ids
-    port_ledger: tuple
 
     @property
     def b(self) -> int:
@@ -255,17 +253,15 @@ def build_blowup(
         off = v * two_b
         edges.extend((off + a, off + c, beta_hat) for a, c in gadget.edges)
 
-    # Port ledgers: per base vertex, the still-unused ports on each side,
+    # Free ports: per base vertex, the still-unused ports on each side,
     # consumed in index order (ports on one side are interchangeable).
     free_L = {v: list(gadget.ports_L) for v in range(G.n)}
     free_R = {v: list(gadget.ports_R) for v in range(G.n)}
-    ledger = []
     for u, v, beta in G.edges:
         ell = ells[(u, v)]
         need = d_out * math.ceil(ell / (d_out * d_out))
         w = beta / (2.0 * ell)
         pattern = _cross_pattern(ell, d_out)
-        entry = []
         for side_a, side_b_, va, vb in (
             (free_L, free_R, u, v),  # L_u -- R_v
             (free_R, free_L, u, v),  # R_u -- L_v
@@ -280,8 +276,6 @@ def build_blowup(
             ga = [va * two_b + x for x in pa]
             gb = [vb * two_b + x for x in pb]
             edges.extend((ga[i], gb[j], w) for i, j in pattern)
-            entry.append((tuple(ga), tuple(gb)))
-        ledger.append(((u, v), tuple(entry)))
 
     field = []
     if G.field:
@@ -307,7 +301,6 @@ def build_blowup(
         gadget=gadget,
         beta_hat=beta_hat,
         model=model,
-        port_ledger=tuple(ledger),
     )
 
 

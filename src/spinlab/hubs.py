@@ -36,7 +36,7 @@ from .model import (
     classify_field,
     FIELD_ZERO,
 )
-from .exact import CollapsedSpace
+from .exact import ClassLayout, CollapsedSpace, class_probs
 from .potts import ANSWER_HIGH, ANSWER_LOW, testing_rate
 
 VARIANT_ANTIFERRO = "antiferro"
@@ -83,6 +83,28 @@ class HubInstance:
     def hidden_class_table(self) -> tuple[tuple, np.ndarray, np.ndarray]:
         """Type classes of the hidden model: (descriptors, log_count, log_weight)."""
         return _hidden_type_table(self)
+
+    @cached_property
+    def hidden_class_probs(self) -> np.ndarray:
+        """Exact probability of each hidden_class_table class."""
+        _, log_count, log_weight = self.hidden_class_table
+        return class_probs(log_count, log_weight)
+
+    @cached_property
+    def collapsed_pair(self) -> tuple[CollapsedSpace, CollapsedSpace]:
+        """(visible, hidden) collapsed spaces, computed once per instance."""
+        return (
+            collapsed_distribution_hub(self, "visible"),
+            collapsed_distribution_hub(self, "hidden"),
+        )
+
+    def class_index(self, spins) -> np.ndarray:
+        """Collapsed class index ``((c1*2 + c2) << N) | base_bits`` of each
+        configuration row; only the base block and the hubs are read."""
+        spins = np.asarray(spins, dtype=np.int64)
+        N = self.N
+        base_bits = spins[:, :N] @ (np.int64(1) << np.arange(N, dtype=np.int64))
+        return ((2 * spins[:, N] + spins[:, N + 1]) << N) | base_bits
 
 
 # -- log helpers for the auxiliary-vertex factors ----------------------------
@@ -461,11 +483,6 @@ def _base_block(inst: HubInstance, which: str) -> SpinSystem:
     return SpinSystem(q=2, n=N, edges=edges, field=field)
 
 
-def log_ratio_D_over_M0(inst: HubInstance, which: str, log_ZG: Optional[float] = None) -> float:
-    zd, zm0 = closed_form_phase(inst, which, log_ZG)
-    return zd - zm0
-
-
 # -- collapsed spaces ------------------------------------------------------------
 
 
@@ -490,7 +507,7 @@ def collapsed_distribution_hub(inst: HubInstance, which: str) -> CollapsedSpace:
             block_lw += hmat[v][spins[:, v]]
     same_u, diff_u = _u_factors(inst.variant, inst.beta1, inst.n_uv)
 
-    descriptors = []
+    # class (c1, c2, base block idx) sits at ((c1*2 + c2) << N) | idx
     log_weight = np.empty(4 * n_block, dtype=float)
     pos = 0
     for c1 in (0, 1):
@@ -503,20 +520,12 @@ def collapsed_distribution_hub(inst: HubInstance, which: str) -> CollapsedSpace:
             else:
                 wfac = inst.n_ss * _w_factor_ferro(inst.beta2, inst.h, c1, c2)
             log_weight[pos : pos + n_block] = block_lw + ufac + wfac
-            descriptors.extend(
-                (c1, c2, tuple(int(s) for s in row)) for row in spins
-            )
             pos += n_block
     return CollapsedSpace(
-        descriptors=tuple(descriptors),
+        layout=ClassLayout(("hub", N), 4 * n_block),
         log_count=np.zeros(4 * n_block, dtype=float),
         log_weight=log_weight,
     )
-
-
-def collapsed_class_of(inst: HubInstance, sigma) -> tuple:
-    spins = sigma.spins if isinstance(sigma, Configuration) else tuple(sigma)
-    return (spins[inst.s1], spins[inst.s2], tuple(spins[: inst.N]))
 
 
 # -- hidden type table and exact sampler ------------------------------------------
@@ -575,10 +584,7 @@ def sample_hidden_hub_classes(
     inst: HubInstance, rng: np.random.Generator, size: int
 ) -> np.ndarray:
     """Class indices (into hidden_class_table) of exact hidden-model draws."""
-    _, log_count, log_weight = inst.hidden_class_table
-    t = log_count + log_weight
-    p = np.exp(t - logsumexp(t))
-    p /= p.sum()
+    p = inst.hidden_class_probs
     return rng.choice(len(p), size=size, p=p)
 
 
@@ -587,7 +593,8 @@ def sample_hidden_hub(inst: HubInstance, rng: np.random.Generator) -> Configurat
 
     Samples the type class, places the base-block spins uniformly within the
     class, then draws every auxiliary vertex from its exact conditional given
-    its neighbors.
+    its neighbors: a u-vertex's law depends only on (base spin, hub spin),
+    and every w-path or pendant of a hub shares one law.
     """
     descriptors, _, _ = inst.hidden_class_table
     idx = int(sample_hidden_hub_classes(inst, rng, 1)[0])
@@ -605,30 +612,31 @@ def sample_hidden_hub(inst: HubInstance, rng: np.random.Generator) -> Configurat
         block[rng.permutation(np.asarray(group_a, dtype=np.int64))[:ka]] = 0
         block[rng.permutation(np.asarray(group_b, dtype=np.int64))[:kb]] = 0
 
-    spins = [int(s) for s in block] + [c1, c2]
+    # u-vertices, ordered by (base vertex, hub, copy): P(0) per (base, hub) spin
     sign = -1.0 if inst.variant == VARIANT_ANTIFERRO else 1.0
-    for v in range(N):
-        for hub_spin in (c1, c2):
-            for _ in range(inst.n_uv):
-                lw0 = sign * inst.beta1 * ((0 == spins[v]) + (0 == hub_spin))
-                lw1 = sign * inst.beta1 * ((1 == spins[v]) + (1 == hub_spin))
-                p0 = 1.0 / (1.0 + math.exp(lw1 - lw0))
-                spins.append(0 if rng.random() < p0 else 1)
+    p0_u = np.empty(4)
+    for sv in (0, 1):
+        for hub_spin in (0, 1):
+            lw0 = sign * inst.beta1 * ((0 == sv) + (0 == hub_spin))
+            lw1 = sign * inst.beta1 * ((1 == sv) + (1 == hub_spin))
+            p0_u[2 * sv + hub_spin] = 1.0 / (1.0 + math.exp(lw1 - lw0))
+    pair = 2 * np.repeat(block, 2 * inst.n_uv) + np.tile(np.repeat([c1, c2], inst.n_uv), N)
+    u_spins = rng.random(len(pair)) >= p0_u[pair]
     if inst.variant == VARIANT_ANTIFERRO:
-        for _ in range(inst.n_ss):
-            opts = [(a, b) for a in (0, 1) for b in (0, 1)]
-            lws = [
-                -inst.beta2 * ((a == c1) + (a == b) + (b == c2)) for a, b in opts
-            ]
-            probs = np.exp(np.asarray(lws) - logsumexp(lws))
-            probs /= probs.sum()
-            a, b = opts[int(rng.choice(4, p=probs))]
-            spins.extend([a, b])
+        # each s1-w1-w2-s2 path: (w1, w2) = divmod(option, 2)
+        lws = np.array(
+            [-inst.beta2 * ((a == c1) + (a == b) + (b == c2)) for a in (0, 1) for b in (0, 1)]
+        )
+        probs = np.exp(lws - lws.max())
+        probs /= probs.sum()
+        opts = rng.choice(4, size=inst.n_ss, p=probs)
+        w_spins = np.stack([opts >> 1, opts & 1], axis=1).ravel()
     else:
+        p0_w = []
         for hub_spin, field_spin in ((c1, 0), (c2, 1)):
-            for _ in range(inst.n_ss):
-                lw0 = inst.beta2 * (0 == hub_spin) + (inst.h if field_spin == 0 else 0.0)
-                lw1 = inst.beta2 * (1 == hub_spin) + (inst.h if field_spin == 1 else 0.0)
-                p0 = 1.0 / (1.0 + math.exp(lw1 - lw0))
-                spins.append(0 if rng.random() < p0 else 1)
-    return Configuration(tuple(spins))
+            lw0 = inst.beta2 * (0 == hub_spin) + (inst.h if field_spin == 0 else 0.0)
+            lw1 = inst.beta2 * (1 == hub_spin) + (inst.h if field_spin == 1 else 0.0)
+            p0_w.append(1.0 / (1.0 + math.exp(lw1 - lw0)))
+        w_spins = rng.random(2 * inst.n_ss) >= np.repeat(p0_w, inst.n_ss)
+    spins = np.concatenate([block, [c1, c2], u_spins, w_spins])
+    return Configuration(tuple(spins.tolist()))

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -27,10 +27,6 @@ FIELD_ZERO = "zero"
 FIELD_CONSISTENT = "consistent"
 FIELD_MONOCHROMATIC = "h-vertex-monochromatic"
 FIELD_UNRESTRICTED = "unrestricted"
-
-SIGN_FERRO = "ferromagnetic"
-SIGN_ANTIFERRO = "antiferromagnetic"
-SIGN_MIXED = "mixed"
 
 
 @dataclass(frozen=True)
@@ -179,97 +175,26 @@ def classify_field(model: SpinSystem) -> str:
     return FIELD_UNRESTRICTED
 
 
-_FIELD_ORDER = [FIELD_ZERO, FIELD_CONSISTENT, FIELD_MONOCHROMATIC, FIELD_UNRESTRICTED]
-
-
-@dataclass(frozen=True)
-class FamilyDescriptor:
-    """Constraints defining a family of spin systems."""
-
-    n_max: int
-    d_max: int
-    beta_max: float
-    h_max: float
-    sign: str = SIGN_MIXED
-    uniform_beta: Optional[float] = None
-    bipartite_required: bool = False
-    field_class: str = FIELD_UNRESTRICTED
-
-    def __post_init__(self) -> None:
-        if self.beta_max < 0 or self.h_max < 0:
-            raise InvalidModelError("beta_max and h_max must be nonnegative")
-        if self.uniform_beta is not None and abs(self.uniform_beta) > self.beta_max:
-            raise InvalidModelError("|uniform_beta| must be <= beta_max")
-        if self.sign not in (SIGN_FERRO, SIGN_ANTIFERRO, SIGN_MIXED):
-            raise InvalidModelError(f"unknown sign {self.sign!r}")
-        if self.field_class not in _FIELD_ORDER:
-            raise InvalidModelError(f"unknown field class {self.field_class!r}")
-
-
-@dataclass(frozen=True)
-class MembershipReport:
-    passed: bool
-    violations: tuple[str, ...]
-
-
-def validate_membership(model: SpinSystem, family: FamilyDescriptor) -> MembershipReport:
-    """Check the model against every family constraint; report all violations."""
-    violations: list[str] = []
-    if model.n > family.n_max:
-        violations.append(f"n={model.n} exceeds n_max={family.n_max}")
-    max_deg = int(model.degrees.max()) if model.n else 0
-    if max_deg > family.d_max:
-        violations.append(f"max degree {max_deg} exceeds d_max={family.d_max}")
-    _, _, betas = model.edge_arrays
-    if len(betas):
-        if np.max(np.abs(betas)) > family.beta_max + 1e-15:
-            violations.append(f"|beta| up to {np.max(np.abs(betas))} exceeds beta_max")
-        if family.uniform_beta is not None and not np.allclose(
-            betas, family.uniform_beta, rtol=0, atol=1e-12
-        ):
-            violations.append(f"couplings not uniformly {family.uniform_beta}")
-        if family.sign == SIGN_FERRO and np.any(betas <= 0):
-            violations.append("non-positive coupling in a ferromagnetic family")
-        if family.sign == SIGN_ANTIFERRO and np.any(betas >= 0):
-            violations.append("non-negative coupling in an antiferromagnetic family")
-    h = model.field_array
-    if model.n and np.max(np.abs(h)) > family.h_max + 1e-15:
-        violations.append(f"|h| up to {np.max(np.abs(h))} exceeds h_max={family.h_max}")
-    cls = classify_field(model)
-    if _FIELD_ORDER.index(cls) > _FIELD_ORDER.index(family.field_class):
-        violations.append(f"field class {cls} broader than {family.field_class}")
-    if family.bipartite_required and model.bipartition is None:
-        violations.append("bipartition required but absent")
-    return MembershipReport(passed=not violations, violations=tuple(violations))
-
-
 # -- canonical JSON document ------------------------------------------------
 
+# An edge (u, v, beta) or a field entry (v, spin, h): two integer ids, then a weight.
+_TRIPLE: dict = {
+    "type": "array",
+    "minItems": 3,
+    "maxItems": 3,
+    "prefixItems": [{"type": "integer"}, {"type": "integer"}, {"type": "number"}],
+}
+
 MODEL_SCHEMA: dict = {
+    "$schema": "https://json-schema.org/draft/2020-12/schema",
     "type": "object",
     "required": ["q", "n", "edges", "field"],
     "additionalProperties": False,
     "properties": {
         "q": {"type": "integer", "minimum": 2},
         "n": {"type": "integer", "minimum": 0},
-        "edges": {
-            "type": "array",
-            "items": {
-                "type": "array",
-                "minItems": 3,
-                "maxItems": 3,
-                "items": {"type": "number"},
-            },
-        },
-        "field": {
-            "type": "array",
-            "items": {
-                "type": "array",
-                "minItems": 3,
-                "maxItems": 3,
-                "items": {"type": "number"},
-            },
-        },
+        "edges": {"type": "array", "items": _TRIPLE},
+        "field": {"type": "array", "items": _TRIPLE},
         "bipartition": {
             "type": "array",
             "minItems": 2,

@@ -27,7 +27,7 @@ from .errors import (
     InfeasibleParametersError,
     InvalidModelError,
 )
-from .exact import CollapsedSpace
+from .exact import ClassLayout, CollapsedSpace, class_probs
 from .model import Configuration, SpinSystem, classify_field, FIELD_ZERO
 
 ANSWER_LOW = "Z<=Zhat/r"
@@ -85,6 +85,42 @@ class PottsInstance:
             for t in sigs_k
         )
         return descriptors, log_count, log_weight
+
+    @cached_property
+    def hidden_class_probs(self) -> np.ndarray:
+        """Exact probability of each hidden_class_table class."""
+        _, log_count, log_weight = self.hidden_class_table
+        return class_probs(log_count, log_weight)
+
+    @cached_property
+    def collapsed_pair(self) -> tuple[CollapsedSpace, CollapsedSpace]:
+        """(visible, hidden) collapsed spaces, computed once per instance."""
+        return (
+            collapsed_distribution_F(self, "visible"),
+            collapsed_distribution_F(self, "hidden"),
+        )
+
+    def class_index(self, spins) -> np.ndarray:
+        """Collapsed class index ``sig_rank * q^N + block index`` of each
+        configuration row, where sig_rank is the rank of sig(H) in
+        :func:`meanfield.enumerate_signatures` order."""
+        spins = np.asarray(spins, dtype=np.int64)
+        q, N, m = self.q, self.N, self.m
+        block = spins[:, :N] @ (np.int64(q) ** np.arange(N, dtype=np.int64))
+        sig = np.stack([(spins[:, N:] == c).sum(axis=1) for c in range(q)], axis=1)
+        # Lexicographic rank: at position i, the signatures with a smaller
+        # entry there number C(rem + k, k) - C(rem - s_i + k, k), where rem
+        # is what the prefix leaves of m and k = q-1-i slots follow.
+        comb = np.array(
+            [[math.comb(r + k, k) for k in range(q)] for r in range(m + 1)], dtype=np.int64
+        )
+        rank = np.zeros(len(spins), dtype=np.int64)
+        rem = np.full(len(spins), m, dtype=np.int64)
+        for i in range(q - 1):
+            k = q - 1 - i
+            rank += comb[rem, k] - comb[rem - sig[:, i], k]
+            rem -= sig[:, i]
+        return rank * q**N + block
 
 
 def make_potts_instance(
@@ -239,7 +275,8 @@ def build_potts_instance(
 def collapsed_distribution_F(inst: PottsInstance, which: str) -> CollapsedSpace:
     """Exact collapsed space over classes (sig(H), sigma on the N block vertices).
 
-    Visible and hidden instances share descriptors, so tv_collapsed applies.
+    Visible and hidden instances share the class layout, so tv_collapsed
+    applies; :meth:`PottsInstance.class_index` gives the class order.
     """
     model = _pick(inst, which)
     q, N, m = inst.q, inst.N, inst.m
@@ -268,12 +305,8 @@ def collapsed_distribution_F(inst: PottsInstance, which: str) -> CollapsedSpace:
         inst.beta_H * mono_h[:, None] + block_lw[None, :] + inst.beta_cross * cross
     ).ravel()
     log_count = np.repeat(lc_h, n_block)
-    descriptors = tuple(
-        (tuple(int(x) for x in s), tuple(int(x) for x in row))
-        for s, lw_row in zip(sigs_h, cross)
-        for row in spins
-    )
-    return CollapsedSpace(descriptors=descriptors, log_count=log_count, log_weight=log_weight)
+    layout = ClassLayout(("potts", q, N, m), len(sigs_h) * n_block)
+    return CollapsedSpace(layout=layout, log_count=log_count, log_weight=log_weight)
 
 
 def _pick(inst: PottsInstance, which: str) -> SpinSystem:
@@ -282,15 +315,6 @@ def _pick(inst: PottsInstance, which: str) -> SpinSystem:
     if which == "hidden":
         return inst.hidden
     raise InvalidModelError(f"which must be visible|hidden, got {which!r}")
-
-
-def collapsed_class_of(inst: PottsInstance, sigma: Configuration) -> tuple:
-    """Descriptor of the collapsed class containing ``sigma``."""
-    spins = sigma.spins if isinstance(sigma, Configuration) else tuple(sigma)
-    block = tuple(spins[: inst.N])
-    h_spins = spins[inst.N :]
-    sig = tuple(int(sum(1 for s in h_spins if s == c)) for c in range(inst.q))
-    return (sig, block)
 
 
 def phase_partition_F(inst: PottsInstance, which: str) -> tuple[float, float, float]:
@@ -312,10 +336,7 @@ def sample_hidden_potts_classes(
     inst: PottsInstance, rng: np.random.Generator, size: int
 ) -> np.ndarray:
     """Class indices (into hidden_class_table) of exact hidden-model draws."""
-    _, log_count, log_weight = inst.hidden_class_table
-    t = log_count + log_weight
-    p = np.exp(t - logsumexp(t))
-    p /= p.sum()
+    p = inst.hidden_class_probs
     return rng.choice(len(p), size=size, p=p)
 
 
@@ -330,15 +351,11 @@ def sample_hidden_potts(inst: PottsInstance, rng: np.random.Generator) -> Config
     sig_h, sig_k = descriptors[k]
     block = _place_colors(inst.N, sig_k, rng)
     hpart = _place_colors(inst.m, sig_h, rng)
-    return Configuration(tuple(block + hpart))
+    return Configuration(tuple(np.concatenate([block, hpart]).tolist()))
 
 
-def _place_colors(n: int, sig: tuple[int, ...], rng: np.random.Generator) -> list[int]:
-    colors: list[int] = []
-    for c, cnt in enumerate(sig):
-        colors.extend([c] * cnt)
-    perm = rng.permutation(n)
-    out = [0] * n
-    for pos, c in zip(perm, colors):
-        out[int(pos)] = c
+def _place_colors(n: int, sig: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
+    """Colors with counts ``sig`` at uniformly random positions 0..n-1."""
+    out = np.empty(n, dtype=np.int64)
+    out[rng.permutation(n)] = np.repeat(np.arange(len(sig)), sig)
     return out

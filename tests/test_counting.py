@@ -6,7 +6,7 @@ import pytest
 
 from naive_oracle import random_model
 from spinlab import counting as ct, hubs
-from spinlab.errors import InvalidConfigurationError
+from spinlab.errors import GuardViolation, InvalidConfigurationError, InvalidModelError
 from spinlab.exact import partition_log
 from spinlab.model import SpinSystem
 from spinlab.potts import ANSWER_HIGH, ANSWER_LOW, testing_rate as _rate
@@ -122,7 +122,16 @@ class TestCrudeBounds:
         assert lo <= partition_log(m) <= hi
 
 
+    def test_crude_exponent_rejects_empty_model(self):
+        with pytest.raises(InvalidModelError):
+            ct.crude_exponent(SpinSystem(q=2, n=0, edges=(), field=()))
+
+
 class TestAmplifyCopies:
+    def test_rejects_empty_model(self):
+        with pytest.raises(InvalidModelError):
+            ct.amplify_copies(SpinSystem(q=2, n=0, edges=(), field=()), c=1.0, rho=0.9)
+
     def test_identity_when_rho_large(self):
         m = SpinSystem(q=2, n=4, edges=((0, 1, 0.5),), field=())
         union, k = ct.amplify_copies(m, c=0.1, rho=100.0)
@@ -190,6 +199,13 @@ class TestTesters:
             tester = ct.empirical_tester(0.9, 2)
             assert tester(inst, samples, rng) is expected
 
+    def test_empirical_tester_accepts_configurations_and_tuples(self):
+        inst, _ = self._instance(math.log(_rate(0.9, 2)) + 1.0)
+        rng = np.random.default_rng(5)
+        draws = [hubs.sample_hidden_hub(inst, rng) for _ in range(50)]
+        tester = ct.empirical_tester(0.9, 2)
+        assert tester(inst, draws) == tester(inst, [d.spins for d in draws])
+
 
 class TestGenericReduction:
     def test_guard_short_circuit(self):
@@ -256,3 +272,37 @@ class TestGenericReduction:
             assert "runtime_ms" not in rep
         lines = ct.reports_to_jsonl(reports).strip().splitlines()
         assert len(lines) == 2
+
+
+class TestTrialHarness:
+    def test_builder_runs_once_per_branch(self):
+        G = cubic_antiferro(8, 5)
+        log_ZG = partition_log(G)
+        r = _rate(0.9, 2)
+        calls = []
+
+        def builder(GG, lzh):
+            # at N=8 the guard window is empty: guard only the negative query
+            calls.append(lzh)
+            return hubs.build_hub_instance(
+                GG, hubs.VARIANT_ANTIFERRO, 0.9, 2, lzh, enforce_guard=lzh < 0
+            )
+
+        sampler = lambda inst, rng: hubs.sample_hidden_hub(inst, rng)
+        branches = [
+            ("low", math.log(r) + log_ZG + 1.0, ANSWER_LOW),
+            ("guarded", -100.0, ANSWER_HIGH),
+        ]
+        with pytest.raises(GuardViolation):
+            builder(G, -100.0)
+        calls.clear()
+        reports = ct.run_reduction_trials(
+            G, builder, sampler, ct.oracle_tv_tester(0.9, 2), 2,
+            branches=branches, seeds=[0, 1, 2], r=r,
+        )
+        assert calls == [branches[0][1], branches[1][1]]
+        assert [rep["provenance"] for rep in reports] == (
+            [ct.PROVENANCE_TESTER] * 3 + [ct.PROVENANCE_GUARD] * 3
+        )
+        assert all(rep["correct"] for rep in reports)
+        assert len({rep["tv_exact"] for rep in reports[:3]}) == 1

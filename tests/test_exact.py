@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from naive_oracle import naive_log_Z, naive_restricted_log, naive_tv, random_model
 from spinlab.errors import BudgetExceededError, InvalidModelError
 from spinlab.exact import (
+    ClassLayout,
     CollapsedSpace,
     ExactDistribution,
     dump_distribution_csv,
@@ -135,20 +136,20 @@ class TestCollapsedSpace:
     def test_log_Z_matches_expansion(self):
         # two classes: 3 states of weight e^1, 5 states of weight e^-2
         space = CollapsedSpace(
-            descriptors=("a", "b"),
+            layout=ClassLayout(("ab",), 2),
             log_count=np.log([3.0, 5.0]),
             log_weight=np.array([1.0, -2.0]),
         )
         assert space.log_Z == pytest.approx(math.log(3 * math.e + 5 * math.e**-2))
 
     def test_tv_collapsed_requires_same_classes(self):
-        a = CollapsedSpace(("x",), np.zeros(1), np.zeros(1))
-        b = CollapsedSpace(("y",), np.zeros(1), np.zeros(1))
+        a = CollapsedSpace(ClassLayout(("x",), 1), np.zeros(1), np.zeros(1))
+        b = CollapsedSpace(ClassLayout(("y",), 1), np.zeros(1), np.zeros(1))
         with pytest.raises(InvalidModelError):
             tv_collapsed(a, b)
 
     def test_tv_collapsed_identical_is_zero(self):
-        a = CollapsedSpace(("x", "y"), np.zeros(2), np.array([0.3, -0.1]))
+        a = CollapsedSpace(ClassLayout(("xy",), 2), np.zeros(2), np.array([0.3, -0.1]))
         assert tv_collapsed(a, a) == pytest.approx(0.0)
 
 
@@ -157,5 +158,28 @@ class TestCollapsedSpace:
 def test_partition_log_oracle_property(seed):
     rng = np.random.default_rng(seed)
     q, n, edges, field = random_model(rng, n_max=5)
+    m = make(q, n, edges, field)
+    assert partition_log(m) == pytest.approx(naive_log_Z(q, n, edges, field), rel=1e-10)
+
+
+@st.composite
+def wide_q_models(draw):
+    """Models with q up to 256 (spins beyond the int8 range) and q^n <= 2^20."""
+    n = draw(st.integers(1, 3))
+    q = draw(st.integers(2, min(256, int(2 ** (20 / n)))))
+    weights = st.floats(-2.0, 2.0)
+    edges = tuple(
+        (u, v, draw(weights)) for u in range(n) for v in range(u + 1, n) if draw(st.booleans())
+    )
+    keys = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, q - 1)), max_size=4))
+    field = tuple((v, s, draw(weights)) for v, s in sorted(keys))
+    return q, n, edges, field
+
+
+@settings(max_examples=10, deadline=None)
+@given(wide_q_models())
+@example((130, 2, ((0, 1, 0.7),), ((0, 129, 1.3), (1, 128, -0.4))))
+def test_partition_log_wide_q_oracle_property(args):
+    q, n, edges, field = args
     m = make(q, n, edges, field)
     assert partition_log(m) == pytest.approx(naive_log_Z(q, n, edges, field), rel=1e-10)

@@ -8,6 +8,8 @@ from scipy.special import logsumexp
 from spinlab import hubs
 from spinlab.errors import InvalidModelError, TargetUnreachableError
 from spinlab.exact import (
+    ExactDistribution,
+    decode_spins,
     partition_log,
     restricted_partition_multi,
     tv_collapsed,
@@ -152,11 +154,23 @@ class TestCollapsedSpaces:
         )
         assert tvc == pytest.approx(tv_exact(inst.visible, inst.hidden), abs=1e-12)
 
+    @pytest.mark.parametrize("variant", [hubs.VARIANT_ANTIFERRO, hubs.VARIANT_FERRO])
+    def test_class_index_sums_full_configurations(self, variant):
+        inst = small_instance(variant, n_uv=1, n_ss=1)
+        for model, space in zip((inst.visible, inst.hidden), inst.collapsed_pair):
+            dist = ExactDistribution.from_model(model)
+            spins = decode_spins(model, np.arange(len(dist.log_probs)))
+            mass = np.bincount(
+                inst.class_index(spins), weights=np.exp(dist.log_probs),
+                minlength=space.layout.size,
+            )
+            assert np.abs(mass - np.exp(space.log_class_masses())).max() < 1e-12
+
     def test_partition_identity_ZM_plus_ZD(self):
         inst = small_instance(hubs.VARIANT_ANTIFERRO)
         space = hubs.collapsed_distribution_hub(inst, "visible")
-        c1 = np.array([d[0] for d in space.descriptors])
-        c2 = np.array([d[1] for d in space.descriptors])
+        hubs_code = np.arange(space.layout.size) >> inst.N
+        c1, c2 = hubs_code >> 1, hubs_code & 1
         lws = space.log_count + space.log_weight
         total = logsumexp([logsumexp(lws[c1 == c2]), logsumexp(lws[c1 != c2])])
         assert total == pytest.approx(space.log_Z, rel=1e-12)
@@ -169,8 +183,8 @@ class TestCollapsedSpaces:
             enforce_guard=False, strict_family=False,
         )
         space = hubs.collapsed_distribution_hub(inst, "visible")
-        c1 = np.array([d[0] for d in space.descriptors])
-        c2 = np.array([d[1] for d in space.descriptors])
+        hubs_code = np.arange(space.layout.size) >> inst.N
+        c1, c2 = hubs_code >> 1, hubs_code & 1
         lws = space.log_count + space.log_weight
         log_zm = logsumexp(lws[c1 == c2])
         _, log_zm0 = hubs.closed_form_phase(inst, "visible")

@@ -1,5 +1,6 @@
 import json
 
+import jsonschema
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -122,6 +123,19 @@ class TestSerialization:
         doc["extra"] = 1
         with pytest.raises(Exception):
             model_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "key, entry", [("edges", [0.7, 1, 1.0]), ("edges", [0, 1.5, 1.0]), ("field", [1, 0.5, 1.0])]
+    )
+    def test_schema_rejects_fractional_ids(self, key, entry):
+        doc = {"q": 2, "n": 2, "edges": [], "field": []}
+        doc[key] = [entry]
+        with pytest.raises(jsonschema.ValidationError):
+            model_from_dict(doc)
+
+    def test_schema_accepts_integral_weights(self):
+        m = model_from_dict({"q": 2, "n": 2, "edges": [[0, 1, 1]], "field": [[1, 0, 2]]})
+        assert m.edges == ((0, 1, 1.0),) and m.field == ((1, 0, 2.0),)
 
     def test_json_is_plain(self, tmp_path):
         path = tmp_path / "m.json"

@@ -6,7 +6,7 @@ from scipy.special import logsumexp
 
 from spinlab import potts
 from spinlab.errors import GuardViolation, InfeasibleParametersError, InvalidModelError
-from spinlab.exact import partition_log, tv_collapsed
+from spinlab.exact import ExactDistribution, decode_spins, partition_log, tv_collapsed
 from spinlab.model import SpinSystem
 
 
@@ -62,6 +62,17 @@ class TestCollapsedSpaces:
         space = potts.collapsed_distribution_F(inst, which)
         model = inst.visible if which == "visible" else inst.hidden
         assert space.log_Z == pytest.approx(partition_log(model), rel=1e-12)
+
+    def test_class_index_sums_full_configurations(self):
+        inst = potts.make_potts_instance(base_graph(), m=4, beta_cross=0.2, beta_H=0.9)
+        for model, space in zip((inst.visible, inst.hidden), inst.collapsed_pair):
+            dist = ExactDistribution.from_model(model)
+            spins = decode_spins(model, np.arange(len(dist.log_probs)))
+            mass = np.bincount(
+                inst.class_index(spins), weights=np.exp(dist.log_probs),
+                minlength=space.layout.size,
+            )
+            assert np.abs(mass - np.exp(space.log_class_masses())).max() < 1e-12
 
     def test_hidden_class_table_total(self):
         inst = potts.make_potts_instance(base_graph(), m=4, beta_cross=0.2, beta_H=0.9)
