@@ -171,7 +171,7 @@ def sample_exact(
         idx = int(rng.choice(len(p), p=p))
         return dist.configuration(idx)
     idx = rng.choice(len(p), size=size, p=p)
-    return [dist.configuration(int(i)) for i in idx]
+    return [Configuration(tuple(row)) for row in decode_spins(dist.model, idx).tolist()]
 
 
 def sample_exact_indices(

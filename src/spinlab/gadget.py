@@ -28,7 +28,13 @@ from .errors import (
     InvalidConfigurationError,
     InvalidModelError,
 )
-from .exact import DEFAULT_BUDGET_BITS, ExactDistribution, check_budget
+from .exact import (
+    DEFAULT_BUDGET_BITS,
+    block_log_weights,
+    check_budget,
+    partition_log,
+    restricted_partition_log,
+)
 from .model import (
     Configuration,
     SpinSystem,
@@ -328,8 +334,6 @@ def omega_good_log_mass(
     inst: BlowupInstance, budget_bits: float = DEFAULT_BUDGET_BITS
 ) -> float:
     """log μ(Ω_good) by exact enumeration (tiny composites only)."""
-    from .exact import partition_log, restricted_partition_log
-
     check_budget(inst.model, budget_bits)
     two_b = 2 * inst.b
     n_base = inst.base.n
@@ -398,11 +402,9 @@ def ground_state_mass(
     model: SpinSystem, budget_bits: float = DEFAULT_BUDGET_BITS
 ) -> float:
     """Exact probability mass of the q monochromatic configurations."""
-    check_budget(model, budget_bits)
-    dist = ExactDistribution.from_model(model, budget_bits)
-    q, n = model.q, model.n
+    log_Z = partition_log(model, budget_bits)
+    monochromatic = np.repeat(np.arange(model.q), model.n).reshape(model.q, model.n)
     total = 0.0
-    for color in range(q):
-        idx = color * (q**n - 1) // (q - 1) if q > 1 else 0
-        total += math.exp(dist.log_probs[idx])
+    for log_w in block_log_weights(model, monochromatic):
+        total += math.exp(log_w - log_Z)
     return min(total, 1.0)

@@ -9,9 +9,13 @@ Window convention: the raw majority and disordered windows (half-width
 m^{3/4}) overlap at small m, but the split must partition the signature
 space.  A signature inside both windows is assigned to the nearest phase
 center in Euclidean distance on count vectors (ties go to the disordered
-phase; ties among majority branches go to the smallest color index), which
-is color-permutation symmetric and recovers the raw windows once they
-separate.
+phase; a tie among majority branches splits the signature evenly between
+them), which is color-permutation symmetric and recovers the raw windows
+once they separate.
+
+Everything that does not depend on the coupling (log-multinomials,
+monochromatic edge counts, phase labels) is cached per key, so a solver
+step costs a few array operations and two logsumexps.
 """
 
 from __future__ import annotations
@@ -57,12 +61,23 @@ class CriticalPoint:
     phi_at_majority: float
 
 
+def _psi1_grid(xs: np.ndarray, beta_scaled: float, q: int) -> np.ndarray:
+    """psi1 at every point of ``xs`` in one array expression (same arithmetic
+    as the scalar :func:`psi1`, without its simplex check)."""
+    y = (1.0 - xs) / (q - 1)
+    a = np.clip(np.column_stack([xs] + [y] * (q - 1)), 0.0, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ent = -np.where(a > 0, a * np.log(np.where(a > 0, a, 1.0)), 0.0).sum(axis=1)
+    # row-wise a @ a through the same BLAS dot as phi's np.dot
+    sq = np.matmul(a[:, None, :], a[:, :, None])[:, 0, 0]
+    return ent + 0.5 * beta_scaled * sq
+
+
 def _majority_argmax(beta: float, q: int) -> tuple[float, float]:
     """Argmax and value of psi1 over the majority branch (x well above 1/q)."""
     x_lo = 1.0 / q + 0.3 * (1.0 - 1.0 / q)
     xs = np.linspace(x_lo, 1.0 - 1e-12, 512)
-    vals = [psi1(float(x), beta, q) for x in xs]
-    k = int(np.argmax(vals))
+    k = int(np.argmax(_psi1_grid(xs, beta, q)))
     lo = xs[max(0, k - 1)]
     hi = xs[min(len(xs) - 1, k + 1)]
     res = minimize_scalar(
@@ -132,15 +147,43 @@ def enumerate_signatures(m: int, q: int) -> np.ndarray:
             rec(prefix + (s,), remaining - s, slots - 1)
 
     rec((), m, q)
-    return np.asarray(rows, dtype=np.int64)
+    return _read_only(np.asarray(rows, dtype=np.int64))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """Mark a cached array shared by every caller as read-only."""
+    a.setflags(write=False)
+    return a
+
+
+@dataclass(frozen=True)
+class SignatureTable:
+    """The beta-independent part of the signature weights of K_m.
+
+    Row ``i`` describes signature ``sigs[i]`` (enumerate_signatures order):
+    ``log_multi[i]`` is log multinomial(m; s) and ``mono_edges[i]`` the
+    number sum C(s_i, 2) of monochromatic edges.
+    """
+
+    sigs: np.ndarray
+    log_multi: np.ndarray
+    mono_edges: np.ndarray
+
+
+@lru_cache(maxsize=64)
+def signature_table(m: int, q: int) -> SignatureTable:
+    """Cached :class:`SignatureTable` of K_m with q colors (read-only arrays)."""
+    sigs = enumerate_signatures(m, q)
+    log_multi = gammaln(m + 1) - gammaln(sigs + 1).sum(axis=1)
+    edge_dtype = np.int32 if m * (m - 1) // 2 <= np.iinfo(np.int32).max else np.int64
+    mono_edges = (sigs * (sigs - 1) // 2).sum(axis=1).astype(edge_dtype)
+    return SignatureTable(sigs, _read_only(log_multi), _read_only(mono_edges))
 
 
 def signature_log_weights(m: int, q: int, beta_H: float) -> tuple[np.ndarray, np.ndarray]:
     """Signatures and log of multinomial(m; s) * exp(beta_H * sum C(s_i,2))."""
-    sigs = enumerate_signatures(m, q)
-    log_multi = gammaln(m + 1) - gammaln(sigs + 1).sum(axis=1)
-    mono_edges = (sigs * (sigs - 1) // 2).sum(axis=1)
-    return sigs, log_multi + beta_H * mono_edges
+    table = signature_table(m, q)
+    return table.sigs, table.log_multi + float(beta_H) * table.mono_edges
 
 
 def classify_signatures(
@@ -208,6 +251,46 @@ class PhaseSplit:
         return self.log_ZS - min(self.log_ZM, self.log_ZD)
 
 
+@dataclass(frozen=True)
+class PhaseClasses:
+    """Signature phase labels and the selections that read them.
+
+    ``members[label]`` holds the signature indices of phase ``label`` in
+    increasing order; ``branches[j]`` is ``(indices, log_frac)`` for majority
+    branch ``j``, where ``log_frac`` is the log of each signature's branch
+    fraction, or None when every fraction is 1.
+    """
+
+    labels: np.ndarray
+    members: tuple[np.ndarray, np.ndarray, np.ndarray]
+    branches: tuple[tuple[np.ndarray, Optional[np.ndarray]], ...]
+
+
+@lru_cache(maxsize=64)
+def phase_classes(m: int, q: int, alpha_hat: float, window_exponent: float) -> PhaseClasses:
+    """Cached :func:`classify_signatures` result in compact form (int8 labels,
+    int32 indices, read-only arrays); none of it depends on beta_H.  Pass all
+    four arguments positionally so equal keys share one cache entry."""
+    labels, branch_frac = classify_signatures(
+        enumerate_signatures(m, q), m, q, alpha_hat, window_exponent
+    )
+    members = tuple(
+        _read_only(np.flatnonzero(labels == lab).astype(np.int32))
+        for lab in (PHASE_M, PHASE_D, PHASE_S)
+    )
+    branches = []
+    for j in range(q):
+        idx = np.flatnonzero(branch_frac[:, j] > 0)
+        frac = branch_frac[idx, j]
+        log_frac = None if np.all(frac == 1.0) else _read_only(np.log(frac))
+        branches.append((_read_only(idx.astype(np.int32)), log_frac))
+    return PhaseClasses(_read_only(labels), members, tuple(branches))
+
+
+def _log_sum(log_terms: np.ndarray) -> float:
+    return float(logsumexp(log_terms)) if len(log_terms) else float("-inf")
+
+
 def phase_split(
     m: int,
     q: int,
@@ -220,30 +303,22 @@ def phase_split(
         raise InvalidModelError("m must be >= 1")
     if alpha_hat is None:
         alpha_hat = default_alpha_hat(q)
-    sigs, logw = signature_log_weights(m, q, beta_H)
-    labels, branch_frac = classify_signatures(sigs, m, q, alpha_hat, window_exponent)
-
-    def part(label: int) -> float:
-        sel = labels == label
-        return float(logsumexp(logw[sel])) if sel.any() else float("-inf")
-
+    _, logw = signature_log_weights(m, q, beta_H)
+    classes = phase_classes(m, q, alpha_hat, window_exponent)
+    log_ZM, log_ZD, log_ZS = (_log_sum(logw[idx]) for idx in classes.members)
     branches = []
-    for j in range(q):
-        wj = branch_frac[:, j]
-        sel = wj > 0
-        if sel.any():
-            branches.append(float(logsumexp(logw[sel] + np.log(wj[sel]))))
-        else:
-            branches.append(float("-inf"))
+    for idx, log_frac in classes.branches:
+        terms = logw[idx]
+        branches.append(_log_sum(terms if log_frac is None else terms + log_frac))
     return PhaseSplit(
         m=m,
         q=q,
         beta_H=beta_H,
         alpha_hat=alpha_hat,
         window=float(m) ** window_exponent,
-        log_ZM=part(PHASE_M),
-        log_ZD=part(PHASE_D),
-        log_ZS=part(PHASE_S),
+        log_ZM=log_ZM,
+        log_ZD=log_ZD,
+        log_ZS=log_ZS,
         log_branches=tuple(branches),
     )
 
@@ -252,8 +327,17 @@ def log_ratio_g(
     m: int, q: int, beta_H: float, alpha_hat: Optional[float] = None
 ) -> float:
     """g(beta_H) = log Z^M - log Z^D."""
-    split = phase_split(m, q, beta_H, alpha_hat)
-    return split.log_ZM - split.log_ZD
+    if m < 1:
+        raise InvalidModelError("m must be >= 1")
+    if alpha_hat is None:
+        alpha_hat = default_alpha_hat(q)
+    table = signature_table(m, q)
+    members = phase_classes(m, q, alpha_hat, DEFAULT_WINDOW_EXPONENT).members
+    log_ZM, log_ZD = (
+        _log_sum(table.log_multi[idx] + float(beta_H) * table.mono_edges[idx])
+        for idx in (members[PHASE_M], members[PHASE_D])
+    )
+    return log_ZM - log_ZD
 
 
 def solve_beta_H(

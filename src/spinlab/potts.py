@@ -19,7 +19,7 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import logsumexp
 
 from . import meanfield
 from .errors import (
@@ -66,24 +66,18 @@ class PottsInstance:
         of configurations realizing the signature pair and the weight is the
         common per-configuration log-weight.
         """
-        sigs_h = meanfield.enumerate_signatures(self.m, self.q)
-        sigs_k = meanfield.enumerate_signatures(self.N, self.q)
-        lc_h = gammaln(self.m + 1) - gammaln(sigs_h + 1).sum(axis=1)
-        lc_k = gammaln(self.N + 1) - gammaln(sigs_k + 1).sum(axis=1)
-        mono_h = (sigs_h * (sigs_h - 1) // 2).sum(axis=1)
-        mono_k = (sigs_k * (sigs_k - 1) // 2).sum(axis=1)
-        log_count = (lc_h[:, None] + lc_k[None, :]).ravel()
-        cross = sigs_h.astype(float) @ sigs_k.T.astype(float)
+        th = meanfield.signature_table(self.m, self.q)
+        tk = meanfield.signature_table(self.N, self.q)
+        log_count = (th.log_multi[:, None] + tk.log_multi[None, :]).ravel()
+        cross = th.sigs.astype(float) @ tk.sigs.T.astype(float)
         log_weight = (
-            self.beta_H * mono_h[:, None]
-            + self.beta_K * mono_k[None, :]
+            float(self.beta_H) * th.mono_edges[:, None]
+            + float(self.beta_K) * tk.mono_edges[None, :]
             + self.beta_cross * cross
         ).ravel()
-        descriptors = tuple(
-            (tuple(int(x) for x in s), tuple(int(x) for x in t))
-            for s in sigs_h
-            for t in sigs_k
-        )
+        rows_h = [tuple(s) for s in th.sigs.tolist()]
+        rows_k = [tuple(t) for t in tk.sigs.tolist()]
+        descriptors = tuple((s, t) for s in rows_h for t in rows_k)
         return descriptors, log_count, log_weight
 
     @cached_property
@@ -280,9 +274,7 @@ def collapsed_distribution_F(inst: PottsInstance, which: str) -> CollapsedSpace:
     """
     model = _pick(inst, which)
     q, N, m = inst.q, inst.N, inst.m
-    sigs_h = meanfield.enumerate_signatures(m, q)
-    lc_h = gammaln(m + 1) - gammaln(sigs_h + 1).sum(axis=1)
-    mono_h = (sigs_h * (sigs_h - 1) // 2).sum(axis=1).astype(float)
+    table = meanfield.signature_table(m, q)
 
     n_block = q**N
     block_idx = np.arange(n_block, dtype=np.int64)
@@ -300,12 +292,14 @@ def collapsed_distribution_F(inst: PottsInstance, which: str) -> CollapsedSpace:
 
     # total log-weight of class (s, sigma_block):
     #   beta_H * monoedges(s) + block_lw + beta * <s, counts>
-    cross = sigs_h.astype(float) @ counts.T
+    cross = table.sigs.astype(float) @ counts.T
     log_weight = (
-        inst.beta_H * mono_h[:, None] + block_lw[None, :] + inst.beta_cross * cross
+        float(inst.beta_H) * table.mono_edges[:, None]
+        + block_lw[None, :]
+        + inst.beta_cross * cross
     ).ravel()
-    log_count = np.repeat(lc_h, n_block)
-    layout = ClassLayout(("potts", q, N, m), len(sigs_h) * n_block)
+    log_count = np.repeat(table.log_multi, n_block)
+    layout = ClassLayout(("potts", q, N, m), len(table.sigs) * n_block)
     return CollapsedSpace(layout=layout, log_count=log_count, log_weight=log_weight)
 
 
@@ -320,16 +314,16 @@ def _pick(inst: PottsInstance, which: str) -> SpinSystem:
 def phase_partition_F(inst: PottsInstance, which: str) -> tuple[float, float, float]:
     """(log Z_F^M, log Z_F^D, log Z_F^S) by H-signature phase membership."""
     space = collapsed_distribution_F(inst, which)
-    sigs_h = meanfield.enumerate_signatures(inst.m, inst.q)
-    labels, _ = meanfield.classify_signatures(sigs_h, inst.m, inst.q, inst.alpha_hat)
-    n_block = inst.q**inst.N
-    full_labels = np.repeat(labels, n_block)
-    t = space.log_count + space.log_weight
-    out = []
-    for lab in (meanfield.PHASE_M, meanfield.PHASE_D, meanfield.PHASE_S):
-        sel = full_labels == lab
-        out.append(float(logsumexp(t[sel])) if sel.any() else float("-inf"))
-    return out[0], out[1], out[2]
+    classes = meanfield.phase_classes(
+        inst.m, inst.q, inst.alpha_hat, meanfield.DEFAULT_WINDOW_EXPONENT
+    )
+    # rows: H signatures; columns: block configurations
+    t = (space.log_count + space.log_weight).reshape(len(classes.labels), -1)
+    log_ZM, log_ZD, log_ZS = (
+        float(logsumexp(t[idx].ravel())) if len(idx) else float("-inf")
+        for idx in classes.members
+    )
+    return log_ZM, log_ZD, log_ZS
 
 
 def sample_hidden_potts_classes(

@@ -123,6 +123,14 @@ class TestExactDistribution:
         assert isinstance(cfg, Configuration)
         assert len(cfg.spins) == 3
 
+    def test_batch_draws_match_index_draws(self):
+        m = make(3, 4, ((0, 1, 0.9), (1, 2, -0.5), (2, 3, 0.3)), field=((1, 2, 0.6),))
+        dist = ExactDistribution.from_model(m)
+        cfgs = sample_exact(dist, np.random.default_rng(11), size=2000)
+        idx = sample_exact_indices(dist, np.random.default_rng(11), 2000)
+        assert cfgs == [dist.configuration(int(i)) for i in idx]
+        assert all(type(s) is int for s in cfgs[0].spins)
+
     def test_csv_dump(self, tmp_path):
         dist = ExactDistribution.from_model(make(2, 2, ((0, 1, 1.0),)))
         path = tmp_path / "dist.csv"

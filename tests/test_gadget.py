@@ -239,6 +239,28 @@ class TestGroundStateMass:
         ]
         assert ms[0] < ms[1] < ms[2]
 
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_matches_materialised_distribution(self, q):
+        def via_distribution(model):
+            dist = ExactDistribution.from_model(model)
+            n = model.n
+            total = sum(
+                math.exp(dist.log_probs[c * (q**n - 1) // (q - 1)]) for c in range(q)
+            )
+            return min(total, 1.0)
+
+        rng = np.random.default_rng(q)
+        g = gd.sample_gadget(gd.GadgetParams.low_degree(4, 3), rng)
+        tau = tuple(int(t) for t in rng.integers(q, size=2 * g.params.p * g.params.d_out))
+        models = [gd.gadget_in_context(g, q, beta_B=b, tau=tau) for b in (0.3, 1.5)]
+        models.append(SpinSystem(
+            q=q, n=5,
+            edges=tuple((i, (i + 1) % 5, float(rng.normal(0.5, 0.4))) for i in range(5)),
+            field=((0, q - 1, 0.7), (3, 0, -0.2)),
+        ))
+        for model in models:
+            assert abs(gd.ground_state_mass(model) - via_distribution(model)) <= 1e-12
+
     def test_tau_validation(self):
         g = gd.sample_gadget(gd.GadgetParams.low_degree(4, 3), np.random.default_rng(9))
         with pytest.raises(InvalidConfigurationError):

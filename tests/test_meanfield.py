@@ -34,6 +34,32 @@ class TestCriticalPoint:
         assert ordered == pytest.approx(disordered, abs=1e-9)
 
 
+class TestCoexistenceGrid:
+    @pytest.mark.parametrize("q", [3, 4, 5, 6])
+    def test_grid_matches_scalar_psi1(self, q):
+        x_lo = 1.0 / q + 0.3 * (1.0 - 1.0 / q)
+        xs = np.linspace(x_lo, 1.0 - 1e-12, 512)
+        for beta in (0.5, mf.find_critical_Bo(q).Bo, 4.0 * math.log(q) + 2.0):
+            grid = mf._psi1_grid(xs, beta, q)
+            scalar = np.array([mf.psi1(float(x), beta, q) for x in xs])
+            assert np.max(np.abs(grid - scalar)) <= 1e-15
+
+    @pytest.mark.parametrize(
+        "q, Bo, alpha_hat",
+        [
+            (3, "2.772588722237109", "0.6666666646667371"),
+            (4, "3.295836866004783", "0.7500000027351296"),
+            (5, "3.6967849629858005", "0.8000000001316677"),
+            (6, "4.023594781087528", "0.8333333296676538"),
+        ],
+    )
+    def test_critical_point_pinned(self, q, Bo, alpha_hat):
+        # values of the scalar-grid implementation, to the last bit
+        crit = mf.find_critical_Bo(q)
+        assert repr(crit.Bo) == Bo
+        assert repr(crit.alpha_hat) == alpha_hat
+
+
 class TestSignatures:
     def test_count(self):
         sigs = mf.enumerate_signatures(6, 3)
@@ -46,6 +72,72 @@ class TestSignatures:
         from scipy.special import logsumexp
 
         assert logsumexp(lws) == pytest.approx(7 * math.log(3))
+
+
+def _reference_split(m, q, beta, alpha_hat, window_exponent):
+    """Uncached phase split: classify, then mask-and-logsumexp per part."""
+    from scipy.special import logsumexp
+
+    sigs, logw = mf.signature_log_weights(m, q, beta)
+    labels, frac = mf.classify_signatures(sigs, m, q, alpha_hat, window_exponent)
+
+    def part(sel, extra=0.0):
+        return float(logsumexp(logw[sel] + extra)) if sel.any() else -math.inf
+
+    parts = tuple(part(labels == lab) for lab in (mf.PHASE_M, mf.PHASE_D, mf.PHASE_S))
+    branches = tuple(
+        part(frac[:, j] > 0, np.log(frac[frac[:, j] > 0, j])) for j in range(q)
+    )
+    return parts, branches
+
+
+class TestCachedTables:
+    CASES = [
+        (8, 3, 0.6, None, mf.DEFAULT_WINDOW_EXPONENT),
+        (30, 3, 1.0, None, mf.DEFAULT_WINDOW_EXPONENT),
+        (90, 3, 1.1, None, mf.DEFAULT_WINDOW_EXPONENT),
+        (20, 4, 0.9, None, mf.DEFAULT_WINDOW_EXPONENT),
+        (12, 5, 1.3, 0.7, mf.DEFAULT_WINDOW_EXPONENT),
+        (25, 3, 1.0, 0.62, 0.6),
+        (16, 4, 0.8, None, 0.65),
+    ]
+
+    @pytest.mark.parametrize("m, q, beta_mult, alpha_hat, w_exp", CASES)
+    def test_phase_split_equals_uncached_reference(self, m, q, beta_mult, alpha_hat, w_exp):
+        beta = beta_mult * mf.find_critical_Bo(q).Bo / m
+        a_hat = mf.default_alpha_hat(q) if alpha_hat is None else alpha_hat
+        parts, branches = _reference_split(m, q, beta, a_hat, w_exp)
+        split = mf.phase_split(m, q, beta, alpha_hat, w_exp)
+        assert (split.log_ZM, split.log_ZD, split.log_ZS) == parts
+        assert split.log_branches == branches
+
+    @pytest.mark.parametrize("m, q, beta_mult, alpha_hat", [c[:4] for c in CASES])
+    def test_log_ratio_g_equals_uncached_reference(self, m, q, beta_mult, alpha_hat):
+        beta = beta_mult * mf.find_critical_Bo(q).Bo / m
+        a_hat = mf.default_alpha_hat(q) if alpha_hat is None else alpha_hat
+        (log_zm, log_zd, _), _ = _reference_split(
+            m, q, beta, a_hat, mf.DEFAULT_WINDOW_EXPONENT
+        )
+        assert mf.log_ratio_g(m, q, beta, alpha_hat) == log_zm - log_zd
+
+    def test_shared_arrays_are_read_only(self):
+        table = mf.signature_table(10, 3)
+        classes = mf.phase_classes(10, 3, mf.default_alpha_hat(3), mf.DEFAULT_WINDOW_EXPONENT)
+        arrays = [mf.enumerate_signatures(10, 3), table.sigs, table.log_multi,
+                  table.mono_edges, classes.labels, *classes.members,
+                  *(idx for idx, _ in classes.branches),
+                  *(lf for _, lf in classes.branches if lf is not None)]
+        for a in arrays:
+            with pytest.raises(ValueError):
+                a[0] = 0
+
+    def test_compact_dtypes(self):
+        table = mf.signature_table(40, 4)
+        classes = mf.phase_classes(40, 4, mf.default_alpha_hat(4), mf.DEFAULT_WINDOW_EXPONENT)
+        assert table.mono_edges.dtype == np.int32
+        assert classes.labels.dtype == np.int8
+        assert all(idx.dtype == np.int32 for idx in classes.members)
+        assert all(idx.dtype == np.int32 for idx, _ in classes.branches)
 
 
 class TestPhaseSplit:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from spinlab import potts
+from spinlab import meanfield, potts
 from spinlab.errors import GuardViolation, InfeasibleParametersError, InvalidModelError
 from spinlab.exact import ExactDistribution, decode_spins, partition_log, tv_collapsed
 from spinlab.model import SpinSystem
@@ -80,6 +80,34 @@ class TestCollapsedSpaces:
         assert logsumexp(lc + lw) == pytest.approx(
             partition_log(inst.hidden), rel=1e-12
         )
+
+    def test_hidden_class_table_descriptors(self):
+        inst = potts.make_potts_instance(base_graph(), m=5, beta_cross=0.2, beta_H=0.9)
+        descriptors, _, _ = inst.hidden_class_table
+        sigs_h = meanfield.enumerate_signatures(5, 3)
+        sigs_k = meanfield.enumerate_signatures(3, 3)
+        assert descriptors == tuple(
+            (tuple(int(x) for x in s), tuple(int(x) for x in t))
+            for s in sigs_h
+            for t in sigs_k
+        )
+        assert all(type(x) is int for d in descriptors[:5] for part in d for x in part)
+
+    @pytest.mark.parametrize("m", [6, 90])
+    def test_phase_partition_equals_label_masks(self, m):
+        # same inputs to each logsumexp as masking the repeated signature labels
+        inst = potts.make_potts_instance(base_graph(), m=m, beta_cross=0.2, beta_H=0.9 / m)
+        space = potts.collapsed_distribution_F(inst, "visible")
+        labels, _ = meanfield.classify_signatures(
+            meanfield.enumerate_signatures(m, 3), m, 3, inst.alpha_hat
+        )
+        full = np.repeat(labels, 3**3)
+        t = space.log_count + space.log_weight
+        expected = tuple(
+            float(logsumexp(t[full == lab])) if np.any(full == lab) else -math.inf
+            for lab in (meanfield.PHASE_M, meanfield.PHASE_D, meanfield.PHASE_S)
+        )
+        assert potts.phase_partition_F(inst, "visible") == expected
 
     def test_phase_partition_identity(self):
         inst = potts.make_potts_instance(base_graph(), m=6, beta_cross=0.2, beta_H=0.9)
