@@ -1,14 +1,20 @@
-"""Brute-force and symmetry-collapsed exact computation.
+"""Exact computation: variable elimination, enumeration and symmetry classes.
 
-Partition functions, restricted sums, total-variation distance and a
-reference sampler, all by full enumeration of the q^n configuration space
-(guarded by a bit budget) with log-sum-exp accumulation.  Enumeration order
-is lexicographic in base q with vertex 0 as the least significant digit.
+``partition_log`` sums out vertices one at a time in a greedy min-fill order
+(bucket elimination in log space, Dechter 1999), which costs O(n q^(w+1)) for
+induced width w; when the largest intermediate factor would not fit in one
+enumeration block it enumerates instead.  Restricted sums, total-variation
+distance and the reference sampler need every state's weight and enumerate
+the q^n configuration space in fixed-size blocks with log-sum-exp
+accumulation.  Every entry point is guarded by the same bit budget on q^n.
+Enumeration order is lexicographic in base q with vertex 0 as the least
+significant digit.
 """
 
 from __future__ import annotations
 
 import csv
+import logging
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -21,6 +27,8 @@ from .model import Configuration, SpinSystem
 DEFAULT_BUDGET_BITS = 26
 _BLOCK_BITS = 20  # fixed block size so sums are reproducible
 
+_log = logging.getLogger("spinlab.exact")
+
 
 def check_budget(model: SpinSystem, budget_bits: float = DEFAULT_BUDGET_BITS) -> None:
     if model.log2_states() > budget_bits + 1e-9:
@@ -31,12 +39,13 @@ def decode_spins(model: SpinSystem, indices: np.ndarray) -> np.ndarray:
     """Spins matrix (len(indices), n) for base-q state indices."""
     q, n = model.q, model.n
     # smallest signed integer dtype holding 0..q-1 (int8 up to q=128)
-    out = np.empty((len(indices), n), dtype=np.min_scalar_type(-q))
+    # filled one vertex per row, so each spins[:, v] column is contiguous
+    out = np.empty((n, len(indices)), dtype=np.min_scalar_type(-q))
     rem = indices.copy()
     for v in range(n):
-        out[:, v] = rem % q
+        out[v] = rem % q
         rem //= q
-    return out
+    return out.T
 
 
 def iter_state_blocks(model: SpinSystem) -> Iterator[tuple[int, np.ndarray]]:
@@ -63,11 +72,105 @@ def block_log_weights(model: SpinSystem, spins: np.ndarray) -> np.ndarray:
     return lw
 
 
-def partition_log(model: SpinSystem, budget_bits: float = DEFAULT_BUDGET_BITS) -> float:
-    """log Z by full enumeration."""
-    check_budget(model, budget_bits)
-    parts = [logsumexp(block_log_weights(model, spins)) for _, spins in iter_state_blocks(model)]
+def _logsumexp_parts(parts: list[float]) -> float:
+    """Combine per-block log sums; -inf for none, the part itself for one."""
+    if not parts:
+        return float("-inf")
+    if len(parts) == 1:
+        return float(parts[0])
     return float(logsumexp(parts))
+
+
+def _min_fill_order(model: SpinSystem) -> tuple[list[int], int]:
+    """Greedy min-fill elimination order and its induced width.
+
+    Each step eliminates the vertex whose neighbours need the fewest fill
+    edges to form a clique, ties broken by degree and then vertex id.
+    """
+    adj = [set() for _ in range(model.n)]
+    for u, v, _ in model.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+
+    def cost(v: int) -> tuple[int, int, int]:
+        nbrs = sorted(adj[v])
+        fill = sum(b not in adj[a] for i, a in enumerate(nbrs) for b in nbrs[i + 1 :])
+        return fill, len(nbrs), v
+
+    remaining = set(range(model.n))
+    order: list[int] = []
+    width = 0
+    while remaining:
+        v = min(remaining, key=cost)
+        nbrs = adj[v]
+        width = max(width, len(nbrs))
+        for a in nbrs:
+            adj[a] |= nbrs
+            adj[a] -= {a, v}
+        remaining.remove(v)
+        order.append(v)
+    return order, width
+
+
+def _eliminate_log_Z(model: SpinSystem, order: Sequence[int]) -> float:
+    """log Z by bucket elimination along ``order`` (every vertex once).
+
+    Factors are log-tables with axes in elimination order: one length-q
+    field table per vertex and one q x q table per edge (beta on the
+    diagonal).  Each factor waits in the bucket of its first-eliminated
+    vertex; a bucket is summed out by a max-shifted log-sum-exp over its
+    leading axis, and the message joins the bucket of its next vertex.
+    """
+    q = model.q
+    rank = {v: i for i, v in enumerate(order)}
+    buckets: list[list[tuple[tuple[int, ...], np.ndarray]]] = [
+        [((v,), model.field_array[v])] for v in order
+    ]
+    eye = np.eye(q)
+    for u, v, beta in model.edges:
+        scope = (u, v) if rank[u] < rank[v] else (v, u)
+        buckets[rank[scope[0]]].append((scope, beta * eye))
+    log_z = 0.0
+    for bucket in buckets:
+        scope = sorted({x for vars_, _ in bucket for x in vars_}, key=rank.__getitem__)
+        joint = sum(
+            table.reshape([q if x in vars_ else 1 for x in scope]) for vars_, table in bucket
+        )
+        peak = joint.max(axis=0)
+        message = peak + np.log(np.exp(joint - peak).sum(axis=0))
+        rest = tuple(scope[1:])
+        if rest:
+            buckets[rank[rest[0]]].append((rest, message))
+        else:
+            log_z += float(message)
+    return log_z
+
+
+def _enumerate_log_Z(model: SpinSystem) -> float:
+    """log Z by full block enumeration."""
+    return _logsumexp_parts(
+        [logsumexp(block_log_weights(model, spins)) for _, spins in iter_state_blocks(model)]
+    )
+
+
+def partition_log(model: SpinSystem, budget_bits: float = DEFAULT_BUDGET_BITS) -> float:
+    """Exact log Z.
+
+    Uses variable elimination when its largest intermediate factor, q^(w+1)
+    cells for induced width w, fits in one enumeration block, and block
+    enumeration otherwise.  Logs the engine on the ``spinlab.exact`` logger
+    at DEBUG level.
+    """
+    check_budget(model, budget_bits)
+    order, width = _min_fill_order(model)
+    cells = model.q ** (width + 1)
+    if cells <= 1 << _BLOCK_BITS:
+        engine, log_z = "elimination", _eliminate_log_Z(model, order)
+    else:
+        engine, log_z = "enumeration", _enumerate_log_Z(model)
+    _log.debug("partition_log engine=%s induced_width=%d largest_factor_cells=%d",
+               engine, width, cells)
+    return log_z
 
 
 def restricted_partition_log(
@@ -96,9 +199,7 @@ def restricted_partition_log(
             )
         if mask.any():
             parts.append(float(logsumexp(block_log_weights(model, spins)[mask])))
-    if not parts:
-        return float("-inf")
-    return float(logsumexp(parts))
+    return _logsumexp_parts(parts)
 
 
 def restricted_partition_multi(
@@ -115,7 +216,7 @@ def restricted_partition_multi(
             mask = np.asarray(pred(spins), dtype=bool)
             if mask.any():
                 parts[k].append(float(logsumexp(lw[mask])))
-    return [float(logsumexp(p)) if p else float("-inf") for p in parts]
+    return [_logsumexp_parts(p) for p in parts]
 
 
 def tv_exact(

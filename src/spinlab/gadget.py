@@ -21,6 +21,7 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
+from scipy.special import logsumexp
 
 from .errors import (
     BudgetExceededError,
@@ -31,9 +32,8 @@ from .errors import (
 from .exact import (
     DEFAULT_BUDGET_BITS,
     block_log_weights,
-    check_budget,
     partition_log,
-    restricted_partition_log,
+    restricted_partition_multi,
 )
 from .model import (
     Configuration,
@@ -333,8 +333,11 @@ def lift_sample(inst: BlowupInstance, sigma_G) -> Configuration:
 def omega_good_log_mass(
     inst: BlowupInstance, budget_bits: float = DEFAULT_BUDGET_BITS
 ) -> float:
-    """log μ(Ω_good) by exact enumeration (tiny composites only)."""
-    check_budget(inst.model, budget_bits)
+    """log μ(Ω_good) by exact enumeration (tiny composites only).
+
+    The good part and its complement come from one enumeration pass, so the
+    result is a log-probability (≤ 0) by construction.
+    """
     two_b = 2 * inst.b
     n_base = inst.base.n
 
@@ -345,9 +348,10 @@ def omega_good_log_mass(
             ok &= np.all(block == block[:, [0]], axis=1)
         return ok
 
-    return restricted_partition_log(
-        inst.model, good, vectorized=True, budget_bits=budget_bits
-    ) - partition_log(inst.model, budget_bits)
+    log_good, log_bad = restricted_partition_multi(
+        inst.model, [good, lambda spins: ~good(spins)], budget_bits
+    )
+    return log_good - float(logsumexp([log_good, log_bad]))
 
 
 def gadget_in_context(

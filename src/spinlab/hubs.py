@@ -423,8 +423,8 @@ def closed_form_phase(
 
     Z^D sums over configurations with sigma(s1) != sigma(s2); Z^{M0} over
     hubs equal and the whole base block monochromatic in the hub spin.
-    ``log_ZG`` overrides the base-block partition value (computed by brute
-    force otherwise).
+    ``log_ZG`` overrides the base-block partition value (computed exactly by
+    ``exact.partition_log`` otherwise).
     """
     base = _base_block(inst, which)
     if log_ZG is None:

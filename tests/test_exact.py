@@ -1,15 +1,19 @@
+import logging
 import math
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from naive_oracle import naive_log_Z, naive_restricted_log, naive_tv, random_model
+from spinlab import exact
 from spinlab.errors import BudgetExceededError, InvalidModelError
 from spinlab.exact import (
     ClassLayout,
     CollapsedSpace,
     ExactDistribution,
+    decode_spins,
     dump_distribution_csv,
     partition_log,
     restricted_partition_log,
@@ -24,6 +28,20 @@ from spinlab.model import Configuration, SpinSystem
 
 def make(q, n, edges, field=()):
     return SpinSystem(q=q, n=n, edges=tuple(edges), field=tuple(field))
+
+
+def cubic_pair(seed, n=18):
+    """A seeded random cubic Ising model with fields and a perturbed copy."""
+    rng = np.random.default_rng(seed)
+    graph = nx.random_regular_graph(3, n, seed=seed)
+    edges = tuple((u, v, float(rng.normal(0.0, 0.5))) for u, v in sorted(graph.edges()))
+    field = tuple((v, int(rng.integers(2)), float(rng.normal(0.0, 0.3))) for v in range(n))
+    b_edges = tuple((u, v, b + float(rng.normal(0.0, 0.1))) for u, v, b in edges)
+    return make(2, n, edges, field), make(2, n, b_edges, field)
+
+
+def eliminated(model):
+    return exact._eliminate_log_Z(model, exact._min_fill_order(model)[0])
 
 
 class TestPartitionLog:
@@ -47,6 +65,45 @@ class TestPartitionLog:
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
             partition_log(make(2, 30, ()))
+
+
+class TestElimination:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_enumeration_on_cubic_n18(self, seed):
+        model, _ = cubic_pair(seed)
+        assert eliminated(model) == pytest.approx(exact._enumerate_log_Z(model), rel=1e-12)
+
+    def test_min_fill_order_is_deterministic(self):
+        # star centred at 1: the leaves need no fill and go first by id; once
+        # only 3 is left beside it, 1 has no fill either and wins on id
+        model = make(2, 4, ((0, 1, 1.0), (1, 2, 1.0), (1, 3, 1.0)))
+        assert exact._min_fill_order(model) == ([0, 2, 1, 3], 1)
+        # triangle 0-1-2 with pendant 3 on 2: 0, 1 and 3 need no fill, and
+        # pendant 3 goes first on its smaller degree
+        model = make(2, 4, ((0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0), (2, 3, 1.0)))
+        assert exact._min_fill_order(model) == ([3, 0, 1, 2], 2)
+
+    def test_wide_model_takes_enumeration(self, monkeypatch, caplog):
+        k13 = make(3, 13, [(u, v, 0.1) for u in range(13) for v in range(u + 1, 13)])
+        monkeypatch.setattr(exact, "_enumerate_log_Z", lambda model: 123.0)
+        with caplog.at_level(logging.DEBUG, logger="spinlab.exact"):
+            assert partition_log(k13) == 123.0
+        assert "engine=enumeration induced_width=12 largest_factor_cells=1594323" in caplog.text
+
+    def test_cubic_model_takes_elimination(self, monkeypatch, caplog):
+        model, _ = cubic_pair(1)
+
+        def no_enumeration(_model):
+            raise AssertionError("enumeration ran")
+
+        monkeypatch.setattr(exact, "_enumerate_log_Z", no_enumeration)
+        with caplog.at_level(logging.DEBUG, logger="spinlab.exact"):
+            partition_log(model)
+        assert "engine=elimination" in caplog.text
+
+    def test_silent_by_default(self, capsys):
+        partition_log(make(2, 3, ((0, 1, 1.0),)))
+        assert capsys.readouterr() == ("", "")
 
 
 class TestRestricted:
@@ -98,6 +155,11 @@ class TestTvExact:
             t = tv_exact(a, b)
             assert 0.0 <= t <= 1.0
             assert tv_exact(b, a) == pytest.approx(t)
+
+    def test_self_zero_and_symmetric_on_cubic_n18(self):
+        a, b = cubic_pair(5)
+        assert tv_exact(a, a) == 0.0
+        assert tv_exact(b, a) == pytest.approx(tv_exact(a, b), rel=0, abs=1e-12)
 
     def test_mismatched_shapes_rejected(self):
         with pytest.raises(InvalidModelError):
@@ -191,3 +253,41 @@ def test_partition_log_wide_q_oracle_property(args):
     q, n, edges, field = args
     m = make(q, n, edges, field)
     assert partition_log(m) == pytest.approx(naive_log_Z(q, n, edges, field), rel=1e-10)
+
+
+@st.composite
+def elimination_models(draw):
+    """q in [2, 5], n <= 8 with q^n <= 3^8 so the naive sum stays small."""
+    q = draw(st.integers(2, 5))
+    n = draw(st.integers(0, {2: 8, 3: 8, 4: 6, 5: 5}[q]))
+    weights = st.floats(-2.0, 2.0)
+    edges = tuple(
+        (u, v, draw(weights)) for u in range(n) for v in range(u + 1, n) if draw(st.booleans())
+    )
+    keys = draw(st.sets(st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, q - 1)),
+                        max_size=2 * n))
+    field = tuple((v, s, draw(weights)) for v, s in sorted(keys))
+    return q, n, edges, field
+
+
+@settings(max_examples=60, deadline=None)
+@given(elimination_models())
+@example((3, 0, (), ()))
+@example((5, 1, (), ((0, 4, 1.5),)))
+@example((4, 5, (), ((2, 1, -0.3),)))
+@example((2, 7, ((0, 1, 1.0), (1, 2, -0.5), (0, 2, 0.3), (4, 5, 2.0), (5, 6, -1.0)), ()))
+def test_engines_oracle_property(args):
+    q, n, edges, field = args
+    m = make(q, n, edges, field)
+    expected = naive_log_Z(q, n, edges, field)
+    assert eliminated(m) == pytest.approx(expected, rel=1e-12)
+    assert exact._enumerate_log_Z(m) == pytest.approx(expected, rel=1e-12)
+
+
+def test_decode_spins_columns():
+    m = make(3, 4, ())
+    idx = np.arange(3**4)
+    spins = decode_spins(m, idx)
+    expected = [[(i // 3**v) % 3 for v in range(4)] for i in range(3**4)]
+    assert spins.shape == (3**4, 4) and spins.tolist() == expected
+    assert all(spins[:, v].flags.c_contiguous for v in range(4))

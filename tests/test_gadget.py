@@ -207,6 +207,19 @@ class TestWeightAndConditionalIdentities:
             masses.append(gd.omega_good_log_mass(inst))
         assert masses[0] < masses[1] < masses[2]
 
+    def test_omega_good_mass_is_a_log_probability(self):
+        # good part and complement come from one pass: never above log 1
+        instances = [tiny_blowup(), tiny_blowup(q=3, beta=-0.7, seed=8)]
+        for beta_hat, seed in ((0.5, 3), (1.0, 3), (2.0, 3), (1.0, 4)):
+            for beta in (0.4, 1.0, -0.8):
+                G = SpinSystem(q=2, n=2, edges=((0, 1, beta),), field=())
+                instances.append(gd.build_blowup(
+                    G, square_gadget_params(), beta_hat=beta_hat,
+                    rng=np.random.default_rng(seed),
+                ))
+        for inst in instances:
+            assert gd.omega_good_log_mass(inst) <= 0.0
+
     def test_tv_sandwich(self):
         # |TV(blowup(G), blowup(G*)) - TV(G, G*)| <= 2 delta, delta exact
         params = square_gadget_params()
