@@ -12,11 +12,9 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import sys
 
 import click
-import numpy as np
 
 from . import counting, gadget as gadget_mod, hubs, meanfield
 from .errors import (

@@ -5,16 +5,21 @@
 induced width w; when the largest intermediate factor would not fit in one
 enumeration block it enumerates instead.  Restricted sums, total-variation
 distance and the reference sampler need every state's weight and enumerate
-the q^n configuration space in fixed-size blocks with log-sum-exp
-accumulation.  Every entry point is guarded by the same bit budget on q^n.
-Enumeration order is lexicographic in base q with vertex 0 as the least
-significant digit.
+the q^n configuration space in blocks of q^k <= 2^20 states with log-sum-exp
+accumulation.  A block is a (q,)*k log-weight tensor built by broadcasting
+each edge's beta*I_q and each field row onto the vertices' axes (a factor
+product, Koller & Friedman 2009, ch. 9); the top n-k vertices index the
+blocks and fold into fields plus a constant, and spin matrices broadcast
+``arange(q)`` the same way, so nothing is decoded.  Every entry point is
+guarded by the same bit budget on q^n.  Enumeration order is lexicographic
+in base q with vertex 0 as the least significant digit (axis k-1-v).
 """
 
 from __future__ import annotations
 
 import csv
 import logging
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -48,13 +53,64 @@ def decode_spins(model: SpinSystem, indices: np.ndarray) -> np.ndarray:
     return out.T
 
 
-def iter_state_blocks(model: SpinSystem) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (start_index, spins_matrix) blocks covering all q^n states."""
-    total = model.q**model.n
-    block = 1 << _BLOCK_BITS
-    for start in range(0, total, block):
-        idx = np.arange(start, min(start + block, total), dtype=np.int64)
-        yield start, decode_spins(model, idx)
+def iter_blocks(
+    model: SpinSystem, with_spins: bool = False
+) -> Iterator[tuple[np.ndarray, Optional[np.ndarray]]]:
+    """Yield (log_weights, spins) for each block of q^k states, in
+    enumeration order; ``spins`` is the block's (q^k, n) spin matrix with
+    contiguous columns, or None unless ``with_spins``."""
+    q, n = model.q, model.n
+    # q^k <= 2^_BLOCK_BITS exactly, as q^k is no power of two unless q is (k is
+    # 1 for larger q).  The last j axes merge into <= 2^8 cells over which every
+    # operand is materialised, so numpy's inner loops stay long; the addends
+    # are unchanged.
+    k = min(n, max(1, int(_BLOCK_BITS / math.log2(q))))
+    j = min(k, int(8 / math.log2(q)))
+    merged = (q,) * (k - j) + (q**j,)
+
+    def onto(table: np.ndarray, *vertices: int) -> np.ndarray:
+        """A table over ``vertices`` (highest first) as a merged-block operand."""
+        shape = [1] * k
+        for x in vertices:
+            shape[k - 1 - x] = q
+        full = np.broadcast_to(table.reshape(shape), shape[: k - j] + [q] * j)
+        return full.reshape(tuple(shape[: k - j]) + (q**j,))
+
+    u, v, b = model.edge_arrays
+    h = model.field_array
+    low = v < k  # u < v, so both ends are low
+    base = np.zeros(merged)
+    for ui, vi, bi in zip(u[low], v[low], b[low]):
+        base += onto(bi * np.eye(q), vi, ui)
+    if with_spins:
+        dtype = np.min_scalar_type(-q)  # as decode_spins
+        spins = np.empty((n, q**k), dtype=dtype)
+        for vtx in range(k):
+            spins[vtx].reshape(merged)[...] = onto(np.arange(q, dtype=dtype), vtx)
+    # the top n-k vertices index the blocks: fold their spins into fields on
+    # the low vertices (edges across) and a constant (edges and fields above)
+    cross, inner = low ^ (u < k), u >= k
+    for block in range(q ** (n - k)):
+        top = block // q ** np.arange(n - k) % q
+        fields = h[:k].copy()
+        np.add.at(fields, (u[cross], top[v[cross] - k]), b[cross])
+        const = b[inner] @ (top[u[inner] - k] == top[v[inner] - k])
+        lw = base + (const + h[np.arange(k, n), top].sum()) if n > k else base
+        for vtx in range(k):
+            if np.any(fields[vtx]):
+                lw += onto(fields[vtx], vtx)
+        if with_spins:
+            spins[k:] = top[:, None]
+            # later blocks overwrite the top rows, so each gets a copy
+            yield lw.ravel(), (spins.copy() if n > k else spins).T
+        else:
+            yield lw.ravel(), None
+
+
+def state_table(model: SpinSystem) -> tuple[np.ndarray, np.ndarray]:
+    """(log_weights, spins) of all q^n states in enumeration order."""
+    weights, spins = zip(*iter_blocks(model, with_spins=True))
+    return np.concatenate(weights), np.concatenate(spins)
 
 
 def block_log_weights(model: SpinSystem, spins: np.ndarray) -> np.ndarray:
@@ -85,7 +141,8 @@ def _min_fill_order(model: SpinSystem) -> tuple[list[int], int]:
     """Greedy min-fill elimination order and its induced width.
 
     Each step eliminates the vertex whose neighbours need the fewest fill
-    edges to form a clique, ties broken by degree and then vertex id.
+    edges to form a clique, ties broken by degree and then vertex id; only
+    the eliminated vertex's neighbours and theirs are re-costed.
     """
     adj = [set() for _ in range(model.n)]
     for u, v, _ in model.edges:
@@ -97,18 +154,20 @@ def _min_fill_order(model: SpinSystem) -> tuple[list[int], int]:
         fill = sum(b not in adj[a] for i, a in enumerate(nbrs) for b in nbrs[i + 1 :])
         return fill, len(nbrs), v
 
-    remaining = set(range(model.n))
+    costs = {v: cost(v) for v in range(model.n)}
     order: list[int] = []
     width = 0
-    while remaining:
-        v = min(remaining, key=cost)
+    while costs:
+        v = min(costs.values())[2]
         nbrs = adj[v]
         width = max(width, len(nbrs))
         for a in nbrs:
             adj[a] |= nbrs
             adj[a] -= {a, v}
-        remaining.remove(v)
+        del costs[v]
         order.append(v)
+        for x in nbrs.union(*(adj[a] for a in nbrs)):
+            costs[x] = cost(x)
     return order, width
 
 
@@ -148,9 +207,7 @@ def _eliminate_log_Z(model: SpinSystem, order: Sequence[int]) -> float:
 
 def _enumerate_log_Z(model: SpinSystem) -> float:
     """log Z by full block enumeration."""
-    return _logsumexp_parts(
-        [logsumexp(block_log_weights(model, spins)) for _, spins in iter_state_blocks(model)]
-    )
+    return _logsumexp_parts([logsumexp(lw) for lw, _ in iter_blocks(model)])
 
 
 def partition_log(model: SpinSystem, budget_bits: float = DEFAULT_BUDGET_BITS) -> float:
@@ -186,20 +243,13 @@ def restricted_partition_log(
     and must return a boolean mask; otherwise it is called per configuration
     with a Configuration instance.  Returns -inf when no state qualifies.
     """
-    check_budget(model, budget_bits)
-    parts: list[float] = []
-    for _, spins in iter_state_blocks(model):
-        if vectorized:
-            mask = np.asarray(predicate(spins), dtype=bool)
-        else:
-            mask = np.fromiter(
-                (bool(predicate(Configuration(tuple(int(s) for s in row)))) for row in spins),
-                dtype=bool,
-                count=len(spins),
-            )
-        if mask.any():
-            parts.append(float(logsumexp(block_log_weights(model, spins)[mask])))
-    return _logsumexp_parts(parts)
+    if not vectorized:
+        scalar = predicate
+
+        def predicate(spins: np.ndarray) -> list[bool]:
+            return [bool(scalar(Configuration(tuple(row)))) for row in spins.tolist()]
+
+    return restricted_partition_multi(model, [predicate], budget_bits)[0]
 
 
 def restricted_partition_multi(
@@ -210,8 +260,7 @@ def restricted_partition_multi(
     """Several vectorized restricted sums in a single enumeration pass."""
     check_budget(model, budget_bits)
     parts: list[list[float]] = [[] for _ in predicates]
-    for _, spins in iter_state_blocks(model):
-        lw = block_log_weights(model, spins)
+    for lw, spins in iter_blocks(model, with_spins=True):
         for k, pred in enumerate(predicates):
             mask = np.asarray(pred(spins), dtype=bool)
             if mask.any():
@@ -227,15 +276,12 @@ def tv_exact(
     """Total-variation distance between the two Gibbs distributions."""
     if model_a.n != model_b.n or model_a.q != model_b.q:
         raise InvalidModelError("tv_exact requires matching n and q")
-    check_budget(model_a, budget_bits)
     log_za = partition_log(model_a, budget_bits)
     log_zb = partition_log(model_b, budget_bits)
-    acc = 0.0
-    for _, spins in iter_state_blocks(model_a):
-        pa = np.exp(block_log_weights(model_a, spins) - log_za)
-        pb = np.exp(block_log_weights(model_b, spins) - log_zb)
-        acc += float(np.sum(np.abs(pa - pb)))
-    return 0.5 * acc
+    return 0.5 * sum(
+        float(np.sum(np.abs(np.exp(lwa - log_za) - np.exp(lwb - log_zb))))
+        for (lwa, _), (lwb, _) in zip(iter_blocks(model_a), iter_blocks(model_b))
+    )
 
 
 @dataclass(frozen=True)
@@ -251,34 +297,28 @@ class ExactDistribution:
         cls, model: SpinSystem, budget_bits: float = DEFAULT_BUDGET_BITS
     ) -> "ExactDistribution":
         check_budget(model, budget_bits)
-        lw = np.concatenate(
-            [block_log_weights(model, spins) for _, spins in iter_state_blocks(model)]
-        )
+        lw = np.concatenate([w for w, _ in iter_blocks(model)])
         log_z = float(logsumexp(lw))
         return cls(model=model, log_Z=log_z, log_probs=lw - log_z)
 
     def configuration(self, index: int) -> Configuration:
-        spins = decode_spins(self.model, np.asarray([index], dtype=np.int64))[0]
-        return Configuration(tuple(int(s) for s in spins))
+        return Configuration(tuple(decode_spins(self.model, np.array([index]))[0].tolist()))
 
 
 def sample_exact(
     dist: ExactDistribution, rng: np.random.Generator, size: Optional[int] = None
 ):
     """Draw from the exact distribution; one Configuration, or a list of them."""
-    p = np.exp(dist.log_probs)
-    p /= p.sum()
+    idx = sample_exact_indices(dist, rng, size)
     if size is None:
-        idx = int(rng.choice(len(p), p=p))
-        return dist.configuration(idx)
-    idx = rng.choice(len(p), size=size, p=p)
+        return dist.configuration(int(idx))
     return [Configuration(tuple(row)) for row in decode_spins(dist.model, idx).tolist()]
 
 
 def sample_exact_indices(
-    dist: ExactDistribution, rng: np.random.Generator, size: int
-) -> np.ndarray:
-    """Vectorized index draws (state indices in enumeration order)."""
+    dist: ExactDistribution, rng: np.random.Generator, size: Optional[int] = None
+):
+    """State-index draws in enumeration order; one index when ``size`` is None."""
     p = np.exp(dist.log_probs)
     p /= p.sum()
     return rng.choice(len(p), size=size, p=p)

@@ -24,7 +24,6 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .errors import (
-    BudgetExceededError,
     InfeasibleParametersError,
     InvalidConfigurationError,
     InvalidModelError,
@@ -199,12 +198,6 @@ class BlowupInstance:
     @property
     def b(self) -> int:
         return self.params.b
-
-    def gadget_vertices(self, v: int) -> range:
-        return range(v * 2 * self.b, (v + 1) * 2 * self.b)
-
-    def base_vertex_of(self, u: int) -> int:
-        return u // (2 * self.b)
 
     def gadget_map(self) -> dict:
         """vertex -> {base vertex, side, port flag} block for serialization."""

@@ -36,8 +36,8 @@ from .model import (
     classify_field,
     FIELD_ZERO,
 )
-from .exact import ClassLayout, CollapsedSpace, class_probs
-from .potts import ANSWER_HIGH, ANSWER_LOW, testing_rate
+from .exact import ClassLayout, CollapsedSpace, class_probs, state_table
+from .potts import ANSWER_HIGH, ANSWER_LOW, pick_model, testing_rate
 
 VARIANT_ANTIFERRO = "antiferro"
 VARIANT_FERRO = "ferro-field"
@@ -472,12 +472,7 @@ def closed_form_phase(
 
 def _base_block(inst: HubInstance, which: str) -> SpinSystem:
     N = inst.N
-    if which == "visible":
-        src = inst.visible
-    elif which == "hidden":
-        src = inst.hidden
-    else:
-        raise InvalidModelError(f"which must be visible|hidden, got {which!r}")
+    src = pick_model(inst, which)
     edges = tuple((u, v, b) for u, v, b in src.edges if u < N and v < N)
     field = tuple((v, s, h) for v, s, h in src.field if v < N)
     return SpinSystem(q=2, n=N, edges=edges, field=field)
@@ -493,23 +488,12 @@ def collapsed_distribution_hub(inst: HubInstance, which: str) -> CollapsedSpace:
     conditional law given the class is identical in the visible and hidden
     models, so tv_collapsed over these classes equals the full-model TV.
     """
-    base = _base_block(inst, which)
     N = inst.N
-    n_block = 1 << N
-    idx = np.arange(n_block, dtype=np.int64)
-    spins = ((idx[:, None] >> np.arange(N)[None, :]) & 1).astype(np.int8)
-    block_lw = np.zeros(n_block, dtype=float)
-    for u, v, b in base.edges:
-        block_lw += b * (spins[:, u] == spins[:, v])
-    if base.field:
-        hmat = base.field_array
-        for v in range(N):
-            block_lw += hmat[v][spins[:, v]]
+    block_lw, spins = state_table(_base_block(inst, which))
     same_u, diff_u = _u_factors(inst.variant, inst.beta1, inst.n_uv)
 
     # class (c1, c2, base block idx) sits at ((c1*2 + c2) << N) | idx
-    log_weight = np.empty(4 * n_block, dtype=float)
-    pos = 0
+    parts = []
     for c1 in (0, 1):
         for c2 in (0, 1):
             k1 = (spins == c1).sum(axis=1)
@@ -519,13 +503,8 @@ def collapsed_distribution_hub(inst: HubInstance, which: str) -> CollapsedSpace:
                 wfac = inst.n_ss * _w_factor_antiferro(inst.beta2, same_hubs=(c1 == c2))
             else:
                 wfac = inst.n_ss * _w_factor_ferro(inst.beta2, inst.h, c1, c2)
-            log_weight[pos : pos + n_block] = block_lw + ufac + wfac
-            pos += n_block
-    return CollapsedSpace(
-        layout=ClassLayout(("hub", N), 4 * n_block),
-        log_count=np.zeros(4 * n_block, dtype=float),
-        log_weight=log_weight,
-    )
+            parts.append(block_lw + ufac + wfac)
+    return CollapsedSpace(ClassLayout(("hub", N), 4 << N), np.zeros(4 << N), np.concatenate(parts))
 
 
 # -- hidden type table and exact sampler ------------------------------------------

@@ -143,9 +143,6 @@ class SpinSystem:
             deg[v] += 1
         return deg
 
-    def field_value(self, v: int, s: int) -> float:
-        return float(self.field_array[v, s])
-
     def log2_states(self) -> float:
         return self.n * math.log2(self.q)
 

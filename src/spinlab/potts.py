@@ -27,7 +27,7 @@ from .errors import (
     InfeasibleParametersError,
     InvalidModelError,
 )
-from .exact import ClassLayout, CollapsedSpace, class_probs
+from .exact import ClassLayout, CollapsedSpace, class_probs, state_table
 from .model import Configuration, SpinSystem, classify_field, FIELD_ZERO
 
 ANSWER_LOW = "Z<=Zhat/r"
@@ -272,22 +272,12 @@ def collapsed_distribution_F(inst: PottsInstance, which: str) -> CollapsedSpace:
     Visible and hidden instances share the class layout, so tv_collapsed
     applies; :meth:`PottsInstance.class_index` gives the class order.
     """
-    model = _pick(inst, which)
+    model = pick_model(inst, which)
     q, N, m = inst.q, inst.N, inst.m
     table = meanfield.signature_table(m, q)
 
-    n_block = q**N
-    block_idx = np.arange(n_block, dtype=np.int64)
-    spins = np.empty((n_block, N), dtype=np.int64)
-    rem = block_idx.copy()
-    for v in range(N):
-        spins[:, v] = rem % q
-        rem //= q
     # block edge weight under this model's couplings on vertices 0..N-1
-    block_lw = np.zeros(n_block, dtype=float)
-    for u, v, b in model.edges:
-        if u < N and v < N:
-            block_lw += b * (spins[:, u] == spins[:, v])
+    block_lw, spins = state_table(SpinSystem(q, N, tuple(e for e in model.edges if e[1] < N)))
     counts = np.stack([(spins == c).sum(axis=1) for c in range(q)], axis=1).astype(float)
 
     # total log-weight of class (s, sigma_block):
@@ -298,12 +288,12 @@ def collapsed_distribution_F(inst: PottsInstance, which: str) -> CollapsedSpace:
         + block_lw[None, :]
         + inst.beta_cross * cross
     ).ravel()
-    log_count = np.repeat(table.log_multi, n_block)
-    layout = ClassLayout(("potts", q, N, m), len(table.sigs) * n_block)
+    log_count = np.repeat(table.log_multi, len(block_lw))
+    layout = ClassLayout(("potts", q, N, m), len(log_count))
     return CollapsedSpace(layout=layout, log_count=log_count, log_weight=log_weight)
 
 
-def _pick(inst: PottsInstance, which: str) -> SpinSystem:
+def pick_model(inst, which: str) -> SpinSystem:
     if which == "visible":
         return inst.visible
     if which == "hidden":

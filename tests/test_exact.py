@@ -1,12 +1,15 @@
 import logging
 import math
+import pickle
+from unittest import mock
 
 import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.special import logsumexp
 
-from naive_oracle import naive_log_Z, naive_restricted_log, naive_tv, random_model
+from naive_oracle import naive_log_Z, naive_probs, naive_restricted_log, naive_tv, random_model
 from spinlab import exact
 from spinlab.errors import BudgetExceededError, InvalidModelError
 from spinlab.exact import (
@@ -291,3 +294,211 @@ def test_decode_spins_columns():
     expected = [[(i // 3**v) % 3 for v in range(4)] for i in range(3**4)]
     assert spins.shape == (3**4, 4) and spins.tolist() == expected
     assert all(spins[:, v].flags.c_contiguous for v in range(4))
+
+
+# -- block tensors --------------------------------------------------------------
+
+
+def decode_path_blocks(model):
+    """The enumeration before block tensors, kept as an oracle: decode each
+    2^20-index block with ``decode_spins`` and weigh its rows with
+    ``block_log_weights``.  Yields (spins, log_weights)."""
+    total = model.q**model.n
+    for start in range(0, total, 1 << 20):
+        spins = decode_spins(model, np.arange(start, min(start + (1 << 20), total)))
+        yield spins, exact.block_log_weights(model, spins)
+
+
+def decode_path_tv(a, b):
+    log_za, log_zb = partition_log(a), partition_log(b)
+    acc = 0.0
+    for (spins, lwa), (_, lwb) in zip(decode_path_blocks(a), decode_path_blocks(b)):
+        acc += float(np.sum(np.abs(np.exp(lwa - log_za) - np.exp(lwb - log_zb))))
+    return 0.5 * acc
+
+
+def decode_path_split(model):
+    """log Z restricted to each spin of vertex 0, one part per block."""
+    parts = [[] for _ in range(model.q)]
+    for spins, lw in decode_path_blocks(model):
+        for c in range(model.q):
+            mask = spins[:, 0] == c
+            if mask.any():
+                parts[c].append(float(logsumexp(lw[mask])))
+    return [exact._logsumexp_parts(p) for p in parts]
+
+
+class TestBlockTensors:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bit_identical_to_decode_path_on_cubic_n18(self, seed):
+        a, b = cubic_pair(seed)
+        (spins, lw), = decode_path_blocks(a)
+        (tensor_lw, tensor_spins), = exact.iter_blocks(a, with_spins=True)
+        assert np.array_equal(tensor_lw, lw)
+        assert np.array_equal(tensor_spins, spins)
+        assert tv_exact(a, b) == decode_path_tv(a, b)
+        split = restricted_partition_multi(a, [lambda s, c=c: s[:, 0] == c for c in range(2)])
+        assert split == decode_path_split(a)
+        assert np.array_equal(ExactDistribution.from_model(a).log_probs,
+                              lw - float(logsumexp(lw)))
+
+    @pytest.mark.parametrize("q, n", [(3, 12), (4, 9), (7, 6), (300, 2)])
+    def test_weights_bit_identical_on_single_blocks(self, q, n):
+        rng = np.random.default_rng(q * n)
+        edges = [(u, v, float(rng.normal())) for u in range(n) for v in range(u + 1, n)
+                 if rng.random() < 0.5]
+        field = [(v, int(rng.integers(q)), float(rng.normal())) for v in range(n)]
+        m = make(q, n, edges, field)
+        (_, lw), = decode_path_blocks(m)
+        (tensor_lw, _), = exact.iter_blocks(m)
+        assert np.array_equal(tensor_lw, lw)
+
+    @pytest.mark.parametrize("q, n", [(2, 1), (2, 18), (3, 7), (5, 4), (130, 2), (300, 2)])
+    def test_spin_matrix_equals_decode_spins(self, q, n):
+        m = make(q, n, ())
+        (_, spins), = exact.iter_blocks(m, with_spins=True)
+        expected = decode_spins(m, np.arange(q**n))
+        assert spins.dtype == expected.dtype
+        assert np.array_equal(spins, expected)
+        assert all(spins[:, v].flags.c_contiguous for v in range(n))
+
+    def test_multi_block_spins_and_order(self, monkeypatch):
+        # 3^5 states in 27 blocks of 3^2: the top three vertices index blocks
+        monkeypatch.setattr(exact, "_BLOCK_BITS", 4)
+        m = make(3, 5, ((0, 1, 0.4), (1, 3, -0.7), (2, 4, 1.1), (3, 4, 0.2)),
+                 field=((0, 2, 0.5), (3, 1, -0.3), (4, 0, 0.8)))
+        blocks = list(exact.iter_blocks(m, with_spins=True))
+        assert len(blocks) == 27 and all(len(lw) == 9 for lw, _ in blocks)
+        spins = np.concatenate([s for _, s in blocks])
+        assert np.array_equal(spins, decode_spins(m, np.arange(3**5)))
+        lw = np.concatenate([w for w, _ in blocks])
+        expected = exact.block_log_weights(m, spins)
+        assert np.allclose(lw, expected, rtol=1e-12, atol=1e-12)
+
+    def test_spin_values_beyond_one_block(self):
+        # q > 2^20: one vertex per block, q states each
+        q = (1 << 20) + 3
+        m = make(q, 1, (), ((0, q - 1, 2.0),))
+        assert exact._enumerate_log_Z(m) == pytest.approx(math.log(q - 1 + math.e**2), rel=1e-12)
+
+    def test_state_table(self):
+        m = make(2, 4, ((0, 1, 1.0), (2, 3, -0.5)), field=((1, 1, 0.3),))
+        lw, spins = exact.state_table(m)
+        (ref_spins, ref_lw), = decode_path_blocks(m)
+        assert np.array_equal(lw, ref_lw) and np.array_equal(spins, ref_spins)
+
+
+@st.composite
+def folded_models(draw):
+    """q in [2, 5], n <= 8 with q^n <= 4^5 so the naive sums stay small."""
+    q = draw(st.integers(2, 5))
+    n = draw(st.integers(1, {2: 8, 3: 6, 4: 5, 5: 4}[q]))
+    weights = st.floats(-2.0, 2.0)
+    edges = tuple(
+        (u, v, draw(weights)) for u in range(n) for v in range(u + 1, n) if draw(st.booleans())
+    )
+    keys = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, q - 1)), max_size=2 * n))
+    field = tuple((v, s, draw(weights)) for v, s in sorted(keys))
+    return q, n, edges, field
+
+
+@settings(max_examples=40, deadline=None)
+@given(folded_models())
+@example((3, 1, (), ((0, 2, 0.9),)))
+@example((2, 1, (), ()))
+@example((4, 5, (), ((2, 1, -0.3), (4, 3, 1.2))))
+@example((2, 8, ((0, 1, 1.0), (1, 2, -0.5), (0, 7, 0.3), (4, 5, 2.0), (5, 6, -1.0)), ()))
+@example((5, 4, ((0, 3, 1.5), (1, 2, -1.0)), ((3, 0, 0.4),)))
+def test_folded_blocks_oracle_property(args):
+    # blocks of at most 2^4 states, so the top vertices are folded
+    q, n, edges, field = args
+    a = make(q, n, edges, field)
+    b = make(q, n, edges[1:], field[:1])
+
+    def first_spin(c):
+        return lambda spins: spins[:, 0] == c
+
+    def top_pair(spins):
+        return spins[:, 0] == spins[:, n - 1]
+
+    with mock.patch.object(exact, "_BLOCK_BITS", 4):
+        log_z = exact._enumerate_log_Z(a)
+        split = restricted_partition_multi(a, [first_spin(c) for c in range(q)] + [top_pair])
+        tv = tv_exact(a, b)
+        log_probs = ExactDistribution.from_model(a).log_probs
+    assert log_z == pytest.approx(naive_log_Z(q, n, edges, field), rel=1e-12)
+    for c in range(q):
+        expected = naive_restricted_log(q, n, edges, field, lambda s, c=c: s[0] == c)
+        assert split[c] == pytest.approx(expected, rel=1e-12, abs=1e-12)
+    expected = naive_restricted_log(q, n, edges, field, lambda s: s[0] == s[n - 1])
+    assert split[q] == pytest.approx(expected, rel=1e-12, abs=1e-12)
+    assert tv == pytest.approx(naive_tv(q, n, edges, field, b.edges, b.field), rel=1e-12, abs=1e-15)
+    probs = naive_probs(q, n, edges, field)
+    expected = [math.log(probs[s]) for s in sorted(probs, key=lambda s: s[::-1])]
+    assert np.allclose(log_probs, expected, rtol=1e-12, atol=1e-12)
+
+
+# -- min-fill order -----------------------------------------------------------------
+
+
+def full_recompute_min_fill(model):
+    """Min-fill order re-costing every remaining vertex at every step."""
+    adj = [set() for _ in range(model.n)]
+    for u, v, _ in model.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+
+    def cost(v):
+        nbrs = sorted(adj[v])
+        fill = sum(b not in adj[a] for i, a in enumerate(nbrs) for b in nbrs[i + 1:])
+        return fill, len(nbrs), v
+
+    remaining, order, width = set(range(model.n)), [], 0
+    while remaining:
+        v = min(remaining, key=cost)
+        width = max(width, len(adj[v]))
+        for a in adj[v]:
+            adj[a] |= adj[v]
+            adj[a] -= {a, v}
+        remaining.remove(v)
+        order.append(v)
+    return order, width
+
+
+def _min_fill_graphs():
+    graphs = [nx.random_regular_graph(3, n, seed=s) for s, n in enumerate((8, 12, 20, 30, 40, 60))]
+    graphs += [nx.random_regular_graph(3, 60, seed=s) for s in (11, 12)]
+    graphs += [nx.gnp_random_graph(14, p, seed=s) for s, p in enumerate((0.5, 0.7, 0.9))]
+    graphs += [nx.complete_graph(9), nx.grid_2d_graph(5, 6), nx.cycle_graph(15)]
+    graphs += [nx.disjoint_union(nx.random_regular_graph(3, 10, seed=4), nx.complete_graph(5)),
+               nx.disjoint_union(nx.path_graph(7), nx.cycle_graph(6))]
+    graphs += [nx.empty_graph(10), nx.empty_graph(1), nx.gnm_random_graph(25, 40, seed=9)]
+    return [nx.convert_node_labels_to_integers(g) for g in graphs]
+
+
+@pytest.mark.parametrize("graph", _min_fill_graphs())
+def test_min_fill_order_matches_full_recompute(graph):
+    model = make(2, graph.number_of_nodes(), [(u, v, 0.5) for u, v in graph.edges()])
+    assert exact._min_fill_order(model) == full_recompute_min_fill(model)
+
+
+# -- samplers -------------------------------------------------------------------
+
+
+def test_sample_exact_draws_unchanged():
+    """sample_exact maps seeds to draws as a separate normalise-and-choose did."""
+    m = make(3, 5, ((0, 1, 0.9), (1, 2, -0.5), (3, 4, 0.3)), field=((1, 2, 0.6), (4, 0, -1.1)))
+    dist = ExactDistribution.from_model(m)
+
+    def reference(rng, size):
+        p = np.exp(dist.log_probs)
+        p /= p.sum()
+        if size is None:
+            return dist.configuration(int(rng.choice(len(p), p=p)))
+        idx = rng.choice(len(p), size=size, p=p)
+        return [Configuration(tuple(row)) for row in decode_spins(m, idx).tolist()]
+
+    for seed in range(5):
+        for size in (None, 1, 37):
+            got = sample_exact(dist, np.random.default_rng(seed), size=size)
+            assert pickle.dumps(got) == pickle.dumps(reference(np.random.default_rng(seed), size))

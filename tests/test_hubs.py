@@ -274,3 +274,44 @@ class TestHiddenSampler:
         a = hubs.sample_hidden_hub(inst, np.random.default_rng(9))
         b = hubs.sample_hidden_hub(inst, np.random.default_rng(9))
         assert a.spins == b.spins
+
+
+def looped_collapsed_hub(inst, which):
+    """The hub collapsed space with its own bit decode and per-edge weight
+    loop, kept as a reference for the shared block routine."""
+    base = hubs._base_block(inst, which)
+    N = inst.N
+    idx = np.arange(1 << N, dtype=np.int64)
+    spins = ((idx[:, None] >> np.arange(N)[None, :]) & 1).astype(np.int8)
+    block_lw = np.zeros(1 << N, dtype=float)
+    for u, v, b in base.edges:
+        block_lw += b * (spins[:, u] == spins[:, v])
+    if base.field:
+        for v in range(N):
+            block_lw += base.field_array[v][spins[:, v]]
+    same_u, diff_u = hubs._u_factors(inst.variant, inst.beta1, inst.n_uv)
+    parts = []
+    for c1 in (0, 1):
+        for c2 in (0, 1):
+            k1 = (spins == c1).sum(axis=1)
+            k2 = (spins == c2).sum(axis=1)
+            ufac = (k1 + k2) * same_u + (2 * N - k1 - k2) * diff_u
+            if inst.variant == hubs.VARIANT_ANTIFERRO:
+                wfac = inst.n_ss * hubs._w_factor_antiferro(inst.beta2, same_hubs=(c1 == c2))
+            else:
+                wfac = inst.n_ss * hubs._w_factor_ferro(inst.beta2, inst.h, c1, c2)
+            parts.append(block_lw + ufac + wfac)
+    return np.concatenate(parts)
+
+
+@pytest.mark.parametrize("variant", [hubs.VARIANT_ANTIFERRO, hubs.VARIANT_FERRO])
+@pytest.mark.parametrize("N", [2, 6, 12])
+def test_collapsed_space_equals_looped_reference(variant, N):
+    G = antiferro_base(N=N) if variant == hubs.VARIANT_ANTIFERRO else ferro_base(N=N)
+    inst = hubs.build_hub_instance(
+        G, variant, epsilon=0.9, L=2, log_Zhat=0.0, beta1=1.1, beta2=0.7,
+        enforce_guard=False, strict_family=False,
+    )
+    for which, space in zip(("visible", "hidden"), inst.collapsed_pair):
+        assert np.array_equal(space.log_weight, looped_collapsed_hub(inst, which))
+        assert np.array_equal(space.log_count, np.zeros(4 << N))

@@ -195,3 +195,38 @@ class TestHiddenSampler:
         a = potts.sample_hidden_potts(inst, np.random.default_rng(42))
         b = potts.sample_hidden_potts(inst, np.random.default_rng(42))
         assert a.spins == b.spins
+
+
+def looped_collapsed_F(inst, which):
+    """The Potts collapsed space with its own base-q decode and per-edge
+    weight loop, kept as a reference for the shared block routine."""
+    model = inst.visible if which == "visible" else inst.hidden
+    q, N = inst.q, inst.N
+    table = meanfield.signature_table(inst.m, q)
+    rem = np.arange(q**N, dtype=np.int64)
+    spins = np.empty((q**N, N), dtype=np.int64)
+    for v in range(N):
+        spins[:, v] = rem % q
+        rem //= q
+    block_lw = np.zeros(q**N, dtype=float)
+    for u, v, b in model.edges:
+        if u < N and v < N:
+            block_lw += b * (spins[:, u] == spins[:, v])
+    counts = np.stack([(spins == c).sum(axis=1) for c in range(q)], axis=1).astype(float)
+    cross = table.sigs.astype(float) @ counts.T
+    log_weight = (
+        float(inst.beta_H) * table.mono_edges[:, None]
+        + block_lw[None, :]
+        + inst.beta_cross * cross
+    ).ravel()
+    return np.repeat(table.log_multi, q**N), log_weight
+
+
+@pytest.mark.parametrize("q, N, m", [(3, 3, 4), (3, 4, 30), (4, 3, 5), (5, 3, 6)])
+def test_collapsed_space_equals_looped_reference(q, N, m):
+    inst = potts.make_potts_instance(base_graph(N=N, q=q), m=m, beta_cross=0.2, beta_H=0.9 / m)
+    for which, space in zip(("visible", "hidden"), inst.collapsed_pair):
+        log_count, log_weight = looped_collapsed_F(inst, which)
+        assert np.array_equal(space.log_count, log_count)
+        assert np.array_equal(space.log_weight, log_weight)
+        assert space.layout.size == len(log_weight)
