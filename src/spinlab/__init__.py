@@ -37,12 +37,9 @@ from .meanfield import (
     solve_beta_H,
 )
 from .potts import (
-    ANSWER_HIGH,
-    ANSWER_LOW,
     PottsInstance,
     build_potts_instance,
     sample_hidden_potts,
-    testing_rate,
 )
 from .hubs import (
     HubInstance,
@@ -61,6 +58,8 @@ from .gadget import (
     sample_gadget,
 )
 from .counting import (
+    ANSWER_HIGH,
+    ANSWER_LOW,
     CountingOutcome,
     DecisionQuery,
     amplify_copies,
@@ -70,6 +69,7 @@ from .counting import (
     empirical_tester,
     oracle_tv_tester,
     run_generic_reduction,
+    testing_rate,
 )
 from .rng import named_rng
 

@@ -166,7 +166,7 @@ def cmd_reduce(model_path, variant, log_zhat, epsilon, l_samples, tester, seed,
 
     def body() -> None:
         G = _load(model_path)
-        rr = hubs.testing_rate(epsilon, l_samples)
+        rr = counting.testing_rate(epsilon, l_samples)
 
         def builder(GG, lzh):
             return hubs.build_hub_instance(

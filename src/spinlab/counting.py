@@ -6,6 +6,23 @@ least 5/8.  A tester consumes a visible model plus L sample configurations
 and answers Yes ("samples look like the visible model") or No; the generic
 reduction turns any such tester into a decider by constructing a visible /
 hidden instance pair whose total-variation distance encodes the comparison.
+
+The reduction contract lives here: the two answers, the rate
+:func:`testing_rate`, the guard :func:`check_guard` and the instance shape
+:class:`ReductionInstance`.  An instance (``hubs.HubInstance``,
+``potts.PottsInstance``) holds ``visible`` and ``hidden`` models whose first
+``N`` vertices form the base block, and supplies three things:
+
+* ``collapsed(which)`` — the exact collapsed space of one model, with classes
+  numbered ``outer * q**N + block index``;
+* ``outer_class(spins)`` — the outer part of that number for each
+  configuration row (hub spins, or the rank of the clique's colour counts);
+* ``hidden_class_table`` — the hidden model's classes as
+  ``(descriptors, log_count, log_weight)``.
+
+From these the base class derives the cached ``collapsed_pair``, the
+vectorised ``class_index``, ``hidden_class_probs`` and
+``sample_hidden_classes``, which the testers and samplers read.
 """
 
 from __future__ import annotations
@@ -14,14 +31,17 @@ import json
 import math
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import GuardViolation, InvalidConfigurationError, InvalidModelError
-from .exact import tv_collapsed
+from .exact import CollapsedSpace, class_probs, tv_collapsed
 from .model import Configuration, SpinSystem, classify_field, disjoint_union, FIELD_ZERO
-from .potts import ANSWER_HIGH, ANSWER_LOW
+
+ANSWER_LOW = "Z<=Zhat/r"
+ANSWER_HIGH = "Z>=r*Zhat"
 
 DEFAULT_CONFIDENCE = 5.0 / 8.0
 TESTER_CONFIDENCE = 3.0 / 4.0
@@ -53,11 +73,78 @@ class CountingOutcome:
             raise InvalidConfigurationError(f"unknown provenance {self.provenance!r}")
 
 
+# -- reduction contract -------------------------------------------------------------
+
+
+def testing_rate(epsilon: float, L: int) -> float:
+    """r = 96 * sqrt(epsilon*L + 1) / epsilon, for 0 < epsilon < 1 and L ≥ 1."""
+    if not 0.0 < epsilon < 1.0:
+        raise InvalidConfigurationError(f"epsilon must lie in (0, 1), got {epsilon!r}")
+    if L < 1:
+        raise InvalidConfigurationError(f"the sample count L must be at least 1, got {L!r}")
+    return 96.0 / epsilon * math.sqrt(epsilon * L + 1)
+
+
+def check_guard(log_Zhat: float, floor: float, ceiling: float) -> None:
+    """Raise the GuardViolation carrying the certified answer when log Ẑ lies
+    outside the certified window [floor, ceiling]."""
+    if not math.isfinite(log_Zhat):
+        raise InvalidConfigurationError(f"log Zhat must be finite, got {log_Zhat!r}")
+    if log_Zhat < floor:
+        raise GuardViolation("below", ANSWER_HIGH, f"log Zhat {log_Zhat:.4g} < floor {floor:.4g}")
+    if log_Zhat > ceiling:
+        raise GuardViolation("above", ANSWER_LOW, f"log Zhat {log_Zhat:.4g} > ceiling {ceiling:.4g}")
+
+
+class ReductionInstance:
+    """Shared shape of a visible/hidden reduction pair; see the module docstring."""
+
+    def collapsed(self, which: str) -> CollapsedSpace:
+        raise NotImplementedError
+
+    def outer_class(self, spins: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def model(self, which: str) -> SpinSystem:
+        if which == "visible":
+            return self.visible
+        if which == "hidden":
+            return self.hidden
+        raise InvalidModelError(f"which must be visible|hidden, got {which!r}")
+
+    def base_block(self, which: str) -> SpinSystem:
+        """The model restricted to the base block, vertices 0..N-1."""
+        N, src = self.N, self.model(which)
+        edges = tuple((u, v, b) for u, v, b in src.edges if u < N and v < N)
+        field = tuple((v, s, h) for v, s, h in src.field if v < N)
+        return SpinSystem(q=self.q, n=N, edges=edges, field=field)
+
+    @cached_property
+    def collapsed_pair(self) -> tuple[CollapsedSpace, CollapsedSpace]:
+        """(visible, hidden) collapsed spaces, computed once per instance."""
+        return self.collapsed("visible"), self.collapsed("hidden")
+
+    def class_index(self, spins) -> np.ndarray:
+        """Collapsed class index ``outer_class * q**N + block index`` of each
+        configuration row."""
+        spins = np.asarray(spins, dtype=np.int64)
+        q, N = self.q, self.N
+        block = spins[:, :N] @ (np.int64(q) ** np.arange(N, dtype=np.int64))
+        return self.outer_class(spins) * q**N + block
+
+    @cached_property
+    def hidden_class_probs(self) -> np.ndarray:
+        """Exact probability of each hidden_class_table class."""
+        _, log_count, log_weight = self.hidden_class_table
+        return class_probs(log_count, log_weight)
+
+    def sample_hidden_classes(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """Class indices (into hidden_class_table) of exact hidden-model draws."""
+        p = self.hidden_class_probs
+        return rng.choice(len(p), size=size, p=p)
+
+
 # -- testers ----------------------------------------------------------------------
-#
-# A reduction instance (hubs.HubInstance, potts.PottsInstance) carries its
-# cached ``collapsed_pair`` (visible, hidden) and a vectorised
-# ``class_index(spins_matrix)`` into that pair's class layout.
 
 
 def oracle_tv_tester(epsilon: float, L: int) -> Callable:
@@ -89,9 +176,7 @@ def empirical_tester(epsilon: float, L: int) -> Callable:
         spins = [s.spins if isinstance(s, Configuration) else s for s in samples]
         counts = np.bincount(instance.class_index(spins), minlength=vis.layout.size)
         emp = counts / counts.sum()
-        # class probability = exp(log_count + log_weight - log_Z)
-        p = np.exp(vis.log_count + vis.log_weight - vis.log_Z)
-        est = 0.5 * float(np.abs(emp - p).sum())
+        est = 0.5 * float(np.abs(emp - np.exp(vis.log_class_masses())).sum())
         return est <= threshold
 
     tester.kind = "empirical"

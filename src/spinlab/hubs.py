@@ -21,6 +21,7 @@ by (base vertex, hub), then the w-vertices.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -29,15 +30,15 @@ from typing import Optional
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from .errors import GuardViolation, InvalidModelError, TargetUnreachableError
+from .counting import ReductionInstance, check_guard, testing_rate
+from .errors import InvalidModelError, TargetUnreachableError
 from .model import (
     Configuration,
     SpinSystem,
     classify_field,
     FIELD_ZERO,
 )
-from .exact import ClassLayout, CollapsedSpace, class_probs, state_table
-from .potts import ANSWER_HIGH, ANSWER_LOW, pick_model, testing_rate
+from .exact import ClassLayout, CollapsedSpace, state_table
 
 VARIANT_ANTIFERRO = "antiferro"
 VARIANT_FERRO = "ferro-field"
@@ -49,7 +50,7 @@ def g_antiferro(x: float) -> float:
 
 
 @dataclass(frozen=True)
-class HubInstance:
+class HubInstance(ReductionInstance):
     variant: str
     visible: SpinSystem
     hidden: SpinSystem
@@ -71,6 +72,8 @@ class HubInstance:
     log_Zmono: float
     field_spins: tuple[int, ...]  # ferro variant: per-base-vertex field spin
 
+    q = 2  # Ising; a class attribute, not a field
+
     @property
     def s1(self) -> int:
         return self.N
@@ -79,32 +82,83 @@ class HubInstance:
     def s2(self) -> int:
         return self.N + 1
 
+    def collapsed(self, which: str) -> CollapsedSpace:
+        return collapsed_distribution_hub(self, which)
+
+    def outer_class(self, spins: np.ndarray) -> np.ndarray:
+        """Hub spins as ``2*c1 + c2``."""
+        return 2 * spins[:, self.N] + spins[:, self.N + 1]
+
+    @cached_property
+    def field_groups(self) -> tuple[np.ndarray, ...]:
+        """Base vertices grouped by field spin: group g holds the vertices
+        whose field sits on spin g.  Antiferro has one group of all N vertices;
+        its h_hat is 0, so that group's field adds nothing."""
+        if self.variant == VARIANT_ANTIFERRO:
+            return (np.arange(self.N),)
+        spins = np.asarray(self.field_spins)
+        return tuple(np.flatnonzero(spins == g) for g in (0, 1))
+
     @cached_property
     def hidden_class_table(self) -> tuple[tuple, np.ndarray, np.ndarray]:
-        """Type classes of the hidden model: (descriptors, log_count, log_weight)."""
-        return _hidden_type_table(self)
-
-    @cached_property
-    def hidden_class_probs(self) -> np.ndarray:
-        """Exact probability of each hidden_class_table class."""
-        _, log_count, log_weight = self.hidden_class_table
-        return class_probs(log_count, log_weight)
-
-    @cached_property
-    def collapsed_pair(self) -> tuple[CollapsedSpace, CollapsedSpace]:
-        """(visible, hidden) collapsed spaces, computed once per instance."""
-        return (
-            collapsed_distribution_hub(self, "visible"),
-            collapsed_distribution_hub(self, "hidden"),
-        )
-
-    def class_index(self, spins) -> np.ndarray:
-        """Collapsed class index ``((c1*2 + c2) << N) | base_bits`` of each
-        configuration row; only the base block and the hubs are read."""
-        spins = np.asarray(spins, dtype=np.int64)
+        """Type classes (c1, c2, *k) of the hidden model, k the number of
+        spin-0 vertices in each field group: (descriptors, log_count,
+        log_weight).  The hidden base block is K_N with coupling beta_K (0
+        for antiferro, an independent set) and field h_hat."""
         N = self.N
-        base_bits = spins[:, :N] @ (np.int64(1) << np.arange(N, dtype=np.int64))
-        return ((2 * spins[:, N] + spins[:, N + 1]) << N) | base_bits
+        same_u, diff_u = _u_factors(self.variant, self.beta1, self.n_uv)
+        sizes = [len(group) for group in self.field_groups]
+        descriptors: list[tuple] = []
+        log_count: list[float] = []
+        log_weight: list[float] = []
+        for c1, c2 in itertools.product((0, 1), repeat=2):
+            wfac = self.n_ss * _w_factor(self, c1, c2)
+            for ks in itertools.product(*(range(n + 1) for n in sizes)):
+                k = sum(ks)
+                agree = (k if c1 == 0 else N - k) + (k if c2 == 0 else N - k)
+                mono = k * (k - 1) // 2 + (N - k) * (N - k - 1) // 2
+                lc = fld = 0.0
+                for g, (n, kg) in enumerate(zip(sizes, ks)):
+                    lc = lc + gammaln(n + 1) - gammaln(kg + 1) - gammaln(n - kg + 1)
+                    fld = fld + self.h_hat * (kg if g == 0 else n - kg)
+                descriptors.append((c1, c2, *ks))
+                log_count.append(float(lc))
+                log_weight.append(
+                    agree * same_u + (2 * N - agree) * diff_u + wfac + self.beta_K * mono + fld
+                )
+        return tuple(descriptors), np.asarray(log_count), np.asarray(log_weight)
+
+    @cached_property
+    def _aux_laws(self) -> tuple[np.ndarray, dict]:
+        """Exact conditionals of the auxiliary vertices, shared by every draw:
+        P(u = 0) indexed by ``2*(base spin) + hub spin``, and per hub spins
+        (c1, c2) either the law of one w-path's four options (antiferro) or
+        P(pendant = 0) for each of the 2*n_ss pendants (ferro)."""
+        sign = -1.0 if self.variant == VARIANT_ANTIFERRO else 1.0
+        p0_u = np.empty(4)
+        for sv in (0, 1):
+            for hub_spin in (0, 1):
+                lw0 = sign * self.beta1 * ((0 == sv) + (0 == hub_spin))
+                lw1 = sign * self.beta1 * ((1 == sv) + (1 == hub_spin))
+                p0_u[2 * sv + hub_spin] = 1.0 / (1.0 + math.exp(lw1 - lw0))
+        w_law = {}
+        for c1, c2 in itertools.product((0, 1), repeat=2):
+            if self.variant == VARIANT_ANTIFERRO:
+                # options (w1, w2) = divmod(option, 2) of one s1-w1-w2-s2 path
+                lws = np.array(
+                    [-self.beta2 * ((a == c1) + (a == b) + (b == c2)) for a in (0, 1) for b in (0, 1)]
+                )
+                probs = np.exp(lws - lws.max())
+                probs /= probs.sum()
+                w_law[c1, c2] = probs
+            else:
+                p0_w = []
+                for hub_spin, field_spin in ((c1, 0), (c2, 1)):
+                    lw0 = self.beta2 * (0 == hub_spin) + (self.h if field_spin == 0 else 0.0)
+                    lw1 = self.beta2 * (1 == hub_spin) + (self.h if field_spin == 1 else 0.0)
+                    p0_w.append(1.0 / (1.0 + math.exp(lw1 - lw0)))
+                w_law[c1, c2] = np.repeat(p0_w, self.n_ss)
+        return p0_u, w_law
 
 
 # -- log helpers for the auxiliary-vertex factors ----------------------------
@@ -141,17 +195,51 @@ def _w_factor_ferro(beta2: float, h: float, c1: int, c2: int) -> float:
     return _pendant_factor(beta2, h, c1 == 0) + _pendant_factor(beta2, h, c2 == 1)
 
 
+def _w_factor(inst: HubInstance, c1: int, c2: int) -> float:
+    """Log factor of one w-path (antiferro) or pendant pair (ferro) at hub spins (c1, c2)."""
+    if inst.variant == VARIANT_ANTIFERRO:
+        return _w_factor_antiferro(inst.beta2, same_hubs=(c1 == c2))
+    return _w_factor_ferro(inst.beta2, inst.h, c1, c2)
+
+
 # -- solvers ------------------------------------------------------------------
 
 
-def _bisect_increasing(fn, target: float, lo: float, hi: float, iters: int = 200) -> float:
-    for _ in range(iters):
+def _log_g(x: float) -> float:
+    return math.log(g_antiferro(x))
+
+
+def _log_cosh(x: float) -> float:
+    return math.log(math.cosh(x))
+
+
+def _solve_beta2(
+    log_f, name: str, hi_x: float, beta1: float, n_ss: int, log_lo: float, log_hi: float
+) -> float:
+    """Bisect the increasing ``log_f`` on (0, hi_x) so that
+    n_ss * (log_f(beta2) - log cosh(beta1)) lands mid-window [log_lo, log_hi]."""
+    target = 0.5 * (log_lo + log_hi) / n_ss + _log_cosh(beta1)
+    f_lo, f_hi = log_f(0.0), log_f(hi_x)
+    if not f_lo <= target <= f_hi:
+        raise TargetUnreachableError(
+            f"beta2 target {name} = {target:.6g} outside achievable [{f_lo:.6g}, {f_hi:.6g}]",
+            achieved_range=(f_lo, f_hi),
+        )
+    lo, hi = 0.0, hi_x
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if fn(mid) < target:
+        if log_f(mid) < target:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    beta2 = 0.5 * (lo + hi)
+    achieved = n_ss * (log_f(beta2) - _log_cosh(beta1))
+    if not log_lo <= achieved <= log_hi:
+        raise TargetUnreachableError(
+            f"beta2 bisection landed outside the window: {achieved:.6g} "
+            f"not in [{log_lo:.6g}, {log_hi:.6g}]"
+        )
+    return beta2
 
 
 def solve_beta2_antiferro(
@@ -172,27 +260,7 @@ def solve_beta2_antiferro(
     if log_Zmono is None:
         log_Zmono = -0.9 * N
     log_hi = -0.5 * math.log(epsilon * L + 1) + log_Zmono - log_Zhat
-    log_lo = log_hi - math.log(2.0)
-    target = 0.5 * (log_lo + log_hi) / n_ss + math.log(math.cosh(beta1))
-
-    def log_g(x: float) -> float:
-        return math.log(g_antiferro(x))
-
-    hi_x = beta1 + 2.0
-    if not log_g(0.0) <= target <= log_g(hi_x):
-        raise TargetUnreachableError(
-            f"beta2 target log g = {target:.6g} outside achievable "
-            f"[{log_g(0.0):.6g}, {log_g(hi_x):.6g}]",
-            achieved_range=(log_g(0.0), log_g(hi_x)),
-        )
-    beta2 = _bisect_increasing(log_g, target, 0.0, hi_x)
-    achieved = n_ss * (log_g(beta2) - math.log(math.cosh(beta1)))
-    if not log_lo <= achieved <= log_hi:
-        raise TargetUnreachableError(
-            f"beta2 bisection landed outside the window: {achieved:.6g} "
-            f"not in [{log_lo:.6g}, {log_hi:.6g}]"
-        )
-    return beta2
+    return _solve_beta2(_log_g, "log g", beta1 + 2.0, beta1, n_ss, log_hi - math.log(2.0), log_hi)
 
 
 def solve_beta2_ferro(
@@ -211,26 +279,7 @@ def solve_beta2_ferro(
     if n_ss is None:
         n_ss = N * N
     log_hi = -math.log(2.0) - 0.5 * math.log(epsilon * L + 1) + log_Zmono - log_Zhat
-    log_lo = log_hi - math.log(1.5)
-    target = 0.5 * (log_lo + log_hi) / n_ss + math.log(math.cosh(beta1))
-
-    def log_cosh(x: float) -> float:
-        return math.log(math.cosh(x))
-
-    if not 0.0 <= target <= log_cosh(beta1):
-        raise TargetUnreachableError(
-            f"beta2 target log cosh = {target:.6g} outside achievable "
-            f"[0, {log_cosh(beta1):.6g}]",
-            achieved_range=(0.0, log_cosh(beta1)),
-        )
-    beta2 = _bisect_increasing(log_cosh, target, 0.0, beta1)
-    achieved = n_ss * (log_cosh(beta2) - log_cosh(beta1))
-    if not log_lo <= achieved <= log_hi:
-        raise TargetUnreachableError(
-            f"beta2 bisection landed outside the window: {achieved:.6g} "
-            f"not in [{log_lo:.6g}, {log_hi:.6g}]"
-        )
-    return beta2
+    return _solve_beta2(_log_cosh, "log cosh", beta1, beta1, n_ss, log_hi - math.log(1.5), log_hi)
 
 
 # -- builder -------------------------------------------------------------------
@@ -306,20 +355,14 @@ def build_hub_instance(
         # Ground-state exponent of the base family: e^{sum of couplings}
         # (= e^{-0.9N} for the canonical 3-regular beta_G = -0.6 family).
         log_Zmono = float(sum(b for _, _, b in G.edges))
-    else:
-        log_Zmono = log_Zmono_of(G)
-
-    if variant == VARIANT_ANTIFERRO:
         floor = math.log(r) + N * math.log(2.0) + log_Zmono
         ceiling = N * math.log(2.0) - math.log(r)
     else:
+        log_Zmono = log_Zmono_of(G)
         floor = math.log(r) + log_Zmono
         ceiling = 0.5 * (beta_G + h_hat + 1.0) * N * N - math.log(r)
     if enforce_guard:
-        if log_Zhat < floor:
-            raise GuardViolation("below", ANSWER_HIGH, f"log Zhat {log_Zhat:.4g} < floor {floor:.4g}")
-        if log_Zhat > ceiling:
-            raise GuardViolation("above", ANSWER_LOW, f"log Zhat {log_Zhat:.4g} > ceiling {ceiling:.4g}")
+        check_guard(log_Zhat, floor, ceiling)
 
     if beta1 is None:
         beta1 = 3.0 if variant == VARIANT_ANTIFERRO else 0.5 * (beta_G + h_hat + 5.0)
@@ -332,18 +375,17 @@ def build_hub_instance(
             beta2 = solve_beta2_ferro(
                 beta1, N, log_Zhat, log_Zmono, epsilon, L, n_ss=n_ss
             )
-    h = beta2 if variant == VARIANT_FERRO else 0.0
-
-    beta_K = beta_G + 4.0 * math.log(2.0) if variant == VARIANT_FERRO else 0.0
-    visible = _assemble_hub(
-        variant, N, n_uv, n_ss, beta1, beta2, h, G.edges, G.field
-    )
     if variant == VARIANT_ANTIFERRO:
+        h, beta_K = 0.0, 0.0
         hidden_edges: tuple = ()
         hidden_field: tuple = ()
     else:
+        h, beta_K = beta2, beta_G + 4.0 * math.log(2.0)
         hidden_edges = tuple((i, j, beta_K) for i in range(N) for j in range(i + 1, N))
         hidden_field = G.field
+    visible = _assemble_hub(
+        variant, N, n_uv, n_ss, beta1, beta2, h, G.edges, G.field
+    )
     hidden = _assemble_hub(
         variant, N, n_uv, n_ss, beta1, beta2, h, hidden_edges, hidden_field
     )
@@ -426,7 +468,7 @@ def closed_form_phase(
     ``log_ZG`` overrides the base-block partition value (computed exactly by
     ``exact.partition_log`` otherwise).
     """
-    base = _base_block(inst, which)
+    base = inst.base_block(which)
     if log_ZG is None:
         from .exact import partition_log
 
@@ -470,14 +512,6 @@ def closed_form_phase(
     return log_zd, log_zm0
 
 
-def _base_block(inst: HubInstance, which: str) -> SpinSystem:
-    N = inst.N
-    src = pick_model(inst, which)
-    edges = tuple((u, v, b) for u, v, b in src.edges if u < N and v < N)
-    field = tuple((v, s, h) for v, s, h in src.field if v < N)
-    return SpinSystem(q=2, n=N, edges=edges, field=field)
-
-
 # -- collapsed spaces ------------------------------------------------------------
 
 
@@ -489,133 +523,45 @@ def collapsed_distribution_hub(inst: HubInstance, which: str) -> CollapsedSpace:
     models, so tv_collapsed over these classes equals the full-model TV.
     """
     N = inst.N
-    block_lw, spins = state_table(_base_block(inst, which))
+    block_lw, spins = state_table(inst.base_block(which))
     same_u, diff_u = _u_factors(inst.variant, inst.beta1, inst.n_uv)
 
     # class (c1, c2, base block idx) sits at ((c1*2 + c2) << N) | idx
     parts = []
-    for c1 in (0, 1):
-        for c2 in (0, 1):
-            k1 = (spins == c1).sum(axis=1)
-            k2 = (spins == c2).sum(axis=1)
-            ufac = (k1 + k2) * same_u + (2 * N - k1 - k2) * diff_u
-            if inst.variant == VARIANT_ANTIFERRO:
-                wfac = inst.n_ss * _w_factor_antiferro(inst.beta2, same_hubs=(c1 == c2))
-            else:
-                wfac = inst.n_ss * _w_factor_ferro(inst.beta2, inst.h, c1, c2)
-            parts.append(block_lw + ufac + wfac)
+    for c1, c2 in itertools.product((0, 1), repeat=2):
+        k1 = (spins == c1).sum(axis=1)
+        k2 = (spins == c2).sum(axis=1)
+        ufac = (k1 + k2) * same_u + (2 * N - k1 - k2) * diff_u
+        parts.append(block_lw + ufac + inst.n_ss * _w_factor(inst, c1, c2))
     return CollapsedSpace(ClassLayout(("hub", N), 4 << N), np.zeros(4 << N), np.concatenate(parts))
 
 
-# -- hidden type table and exact sampler ------------------------------------------
-
-
-def _hidden_type_table(inst: HubInstance) -> tuple[tuple, np.ndarray, np.ndarray]:
-    N = inst.N
-    same_u, diff_u = _u_factors(inst.variant, inst.beta1, inst.n_uv)
-    descriptors: list[tuple] = []
-    log_count: list[float] = []
-    log_weight: list[float] = []
-    if inst.variant == VARIANT_ANTIFERRO:
-        # classes (c1, c2, k): k = number of spin-0 base vertices
-        for c1 in (0, 1):
-            for c2 in (0, 1):
-                wfac = inst.n_ss * _w_factor_antiferro(inst.beta2, same_hubs=(c1 == c2))
-                for k in range(N + 1):
-                    agree = (k if c1 == 0 else N - k) + (k if c2 == 0 else N - k)
-                    descriptors.append((c1, c2, k))
-                    log_count.append(float(gammaln(N + 1) - gammaln(k + 1) - gammaln(N - k + 1)))
-                    log_weight.append(agree * same_u + (2 * N - agree) * diff_u + wfac)
-    else:
-        # classes (c1, c2, ka, kb): spin-0 counts within the two field groups
-        group_a = [v for v, s in enumerate(inst.field_spins) if s == 0]
-        group_b = [v for v, s in enumerate(inst.field_spins) if s == 1]
-        na, nb = len(group_a), len(group_b)
-        hh = inst.h_hat
-        bk = inst.beta_K
-        for c1 in (0, 1):
-            for c2 in (0, 1):
-                wfac = inst.n_ss * _w_factor_ferro(inst.beta2, inst.h, c1, c2)
-                for ka in range(na + 1):
-                    for kb in range(nb + 1):
-                        k = ka + kb
-                        agree = (k if c1 == 0 else N - k) + (k if c2 == 0 else N - k)
-                        mono = k * (k - 1) // 2 + (N - k) * (N - k - 1) // 2
-                        fld = hh * ka + hh * (nb - kb)
-                        descriptors.append((c1, c2, ka, kb))
-                        log_count.append(
-                            float(
-                                gammaln(na + 1) - gammaln(ka + 1) - gammaln(na - ka + 1)
-                                + gammaln(nb + 1) - gammaln(kb + 1) - gammaln(nb - kb + 1)
-                            )
-                        )
-                        log_weight.append(
-                            agree * same_u
-                            + (2 * N - agree) * diff_u
-                            + wfac
-                            + bk * mono
-                            + fld
-                        )
-    return tuple(descriptors), np.asarray(log_count), np.asarray(log_weight)
-
-
-def sample_hidden_hub_classes(
-    inst: HubInstance, rng: np.random.Generator, size: int
-) -> np.ndarray:
-    """Class indices (into hidden_class_table) of exact hidden-model draws."""
-    p = inst.hidden_class_probs
-    return rng.choice(len(p), size=size, p=p)
+# -- exact hidden sampler -----------------------------------------------------------
 
 
 def sample_hidden_hub(inst: HubInstance, rng: np.random.Generator) -> Configuration:
     """Exact draw from the hidden Gibbs distribution.
 
-    Samples the type class, places the base-block spins uniformly within the
-    class, then draws every auxiliary vertex from its exact conditional given
-    its neighbors: a u-vertex's law depends only on (base spin, hub spin),
-    and every w-path or pendant of a hub shares one law.
+    Samples the type class, places each field group's spin-0 vertices
+    uniformly within the group, then draws every auxiliary vertex from its
+    exact conditional given its neighbors: a u-vertex's law depends only on
+    (base spin, hub spin), and every w-path or pendant of a hub shares one law.
     """
     descriptors, _, _ = inst.hidden_class_table
-    idx = int(sample_hidden_hub_classes(inst, rng, 1)[0])
+    c1, c2, *ks = descriptors[int(inst.sample_hidden_classes(rng, 1)[0])]
     N = inst.N
-    if inst.variant == VARIANT_ANTIFERRO:
-        c1, c2, k = descriptors[idx]
-        zeros = rng.permutation(N)[:k]
-        block = np.ones(N, dtype=np.int8)
-        block[zeros] = 0
-    else:
-        c1, c2, ka, kb = descriptors[idx]
-        group_a = [v for v, s in enumerate(inst.field_spins) if s == 0]
-        group_b = [v for v, s in enumerate(inst.field_spins) if s == 1]
-        block = np.ones(N, dtype=np.int8)
-        block[rng.permutation(np.asarray(group_a, dtype=np.int64))[:ka]] = 0
-        block[rng.permutation(np.asarray(group_b, dtype=np.int64))[:kb]] = 0
+    block = np.ones(N, dtype=np.int8)
+    for group, k in zip(inst.field_groups, ks):
+        block[rng.permutation(group)[:k]] = 0
 
-    # u-vertices, ordered by (base vertex, hub, copy): P(0) per (base, hub) spin
-    sign = -1.0 if inst.variant == VARIANT_ANTIFERRO else 1.0
-    p0_u = np.empty(4)
-    for sv in (0, 1):
-        for hub_spin in (0, 1):
-            lw0 = sign * inst.beta1 * ((0 == sv) + (0 == hub_spin))
-            lw1 = sign * inst.beta1 * ((1 == sv) + (1 == hub_spin))
-            p0_u[2 * sv + hub_spin] = 1.0 / (1.0 + math.exp(lw1 - lw0))
+    # u-vertices, ordered by (base vertex, hub, copy)
+    p0_u, w_law = inst._aux_laws
     pair = 2 * np.repeat(block, 2 * inst.n_uv) + np.tile(np.repeat([c1, c2], inst.n_uv), N)
     u_spins = rng.random(len(pair)) >= p0_u[pair]
     if inst.variant == VARIANT_ANTIFERRO:
-        # each s1-w1-w2-s2 path: (w1, w2) = divmod(option, 2)
-        lws = np.array(
-            [-inst.beta2 * ((a == c1) + (a == b) + (b == c2)) for a in (0, 1) for b in (0, 1)]
-        )
-        probs = np.exp(lws - lws.max())
-        probs /= probs.sum()
-        opts = rng.choice(4, size=inst.n_ss, p=probs)
+        opts = rng.choice(4, size=inst.n_ss, p=w_law[c1, c2])
         w_spins = np.stack([opts >> 1, opts & 1], axis=1).ravel()
     else:
-        p0_w = []
-        for hub_spin, field_spin in ((c1, 0), (c2, 1)):
-            lw0 = inst.beta2 * (0 == hub_spin) + (inst.h if field_spin == 0 else 0.0)
-            lw1 = inst.beta2 * (1 == hub_spin) + (inst.h if field_spin == 1 else 0.0)
-            p0_w.append(1.0 / (1.0 + math.exp(lw1 - lw0)))
-        w_spins = rng.random(2 * inst.n_ss) >= np.repeat(p0_w, inst.n_ss)
+        w_spins = rng.random(2 * inst.n_ss) >= w_law[c1, c2]
     spins = np.concatenate([block, [c1, c2], u_spins, w_spins])
     return Configuration(tuple(spins.tolist()))

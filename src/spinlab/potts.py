@@ -22,27 +22,17 @@ import numpy as np
 from scipy.special import logsumexp
 
 from . import meanfield
-from .errors import (
-    GuardViolation,
-    InfeasibleParametersError,
-    InvalidModelError,
-)
-from .exact import ClassLayout, CollapsedSpace, class_probs, state_table
+# ANSWER_* are re-exported for callers that import them from here.
+from .counting import ANSWER_HIGH, ANSWER_LOW, ReductionInstance, check_guard, testing_rate
+from .errors import InfeasibleParametersError, InvalidModelError
+from .exact import ClassLayout, CollapsedSpace, state_table
 from .model import Configuration, SpinSystem, classify_field, FIELD_ZERO
-
-ANSWER_LOW = "Z<=Zhat/r"
-ANSWER_HIGH = "Z>=r*Zhat"
 
 DEFAULT_DELTA = 0.1
 
 
-def testing_rate(epsilon: float, L: int) -> float:
-    """r = 96 * sqrt(epsilon*L + 1) / epsilon."""
-    return 96.0 / epsilon * math.sqrt(epsilon * L + 1)
-
-
 @dataclass(frozen=True)
-class PottsInstance:
+class PottsInstance(ReductionInstance):
     visible: SpinSystem
     hidden: SpinSystem
     N: int
@@ -80,27 +70,13 @@ class PottsInstance:
         descriptors = tuple((s, t) for s in rows_h for t in rows_k)
         return descriptors, log_count, log_weight
 
-    @cached_property
-    def hidden_class_probs(self) -> np.ndarray:
-        """Exact probability of each hidden_class_table class."""
-        _, log_count, log_weight = self.hidden_class_table
-        return class_probs(log_count, log_weight)
+    def collapsed(self, which: str) -> CollapsedSpace:
+        return collapsed_distribution_F(self, which)
 
-    @cached_property
-    def collapsed_pair(self) -> tuple[CollapsedSpace, CollapsedSpace]:
-        """(visible, hidden) collapsed spaces, computed once per instance."""
-        return (
-            collapsed_distribution_F(self, "visible"),
-            collapsed_distribution_F(self, "hidden"),
-        )
-
-    def class_index(self, spins) -> np.ndarray:
-        """Collapsed class index ``sig_rank * q^N + block index`` of each
-        configuration row, where sig_rank is the rank of sig(H) in
-        :func:`meanfield.enumerate_signatures` order."""
-        spins = np.asarray(spins, dtype=np.int64)
+    def outer_class(self, spins: np.ndarray) -> np.ndarray:
+        """Rank of each row's sig(H) in :func:`meanfield.enumerate_signatures`
+        order."""
         q, N, m = self.q, self.N, self.m
-        block = spins[:, :N] @ (np.int64(q) ** np.arange(N, dtype=np.int64))
         sig = np.stack([(spins[:, N:] == c).sum(axis=1) for c in range(q)], axis=1)
         # Lexicographic rank: at position i, the signatures with a smaller
         # entry there number C(rem + k, k) - C(rem - s_i + k, k), where rem
@@ -114,7 +90,7 @@ class PottsInstance:
             k = q - 1 - i
             rank += comb[rem, k] - comb[rem - sig[:, i], k]
             rem -= sig[:, i]
-        return rank * q**N + block
+        return rank
 
 
 def make_potts_instance(
@@ -221,12 +197,8 @@ def build_potts_instance(
     _check_base_graph(G)
     q, N = G.q, G.n
     r = testing_rate(epsilon, L)
-    floor, ceiling = guard_bounds(G, r)
     if enforce_guard:
-        if log_Zhat < floor:
-            raise GuardViolation("below", ANSWER_HIGH, f"log Zhat {log_Zhat:.4g} < floor {floor:.4g}")
-        if log_Zhat > ceiling:
-            raise GuardViolation("above", ANSWER_LOW, f"log Zhat {log_Zhat:.4g} > ceiling {ceiling:.4g}")
+        check_guard(log_Zhat, *guard_bounds(G, r))
     alpha_hat = meanfield.default_alpha_hat(q)
     lo, hi = beta_interval(N, m, q, alpha_hat, c1, c2, delta)
     if lo > hi:
@@ -272,12 +244,11 @@ def collapsed_distribution_F(inst: PottsInstance, which: str) -> CollapsedSpace:
     Visible and hidden instances share the class layout, so tv_collapsed
     applies; :meth:`PottsInstance.class_index` gives the class order.
     """
-    model = pick_model(inst, which)
     q, N, m = inst.q, inst.N, inst.m
     table = meanfield.signature_table(m, q)
 
     # block edge weight under this model's couplings on vertices 0..N-1
-    block_lw, spins = state_table(SpinSystem(q, N, tuple(e for e in model.edges if e[1] < N)))
+    block_lw, spins = state_table(inst.base_block(which))
     counts = np.stack([(spins == c).sum(axis=1) for c in range(q)], axis=1).astype(float)
 
     # total log-weight of class (s, sigma_block):
@@ -291,14 +262,6 @@ def collapsed_distribution_F(inst: PottsInstance, which: str) -> CollapsedSpace:
     log_count = np.repeat(table.log_multi, len(block_lw))
     layout = ClassLayout(("potts", q, N, m), len(log_count))
     return CollapsedSpace(layout=layout, log_count=log_count, log_weight=log_weight)
-
-
-def pick_model(inst, which: str) -> SpinSystem:
-    if which == "visible":
-        return inst.visible
-    if which == "hidden":
-        return inst.hidden
-    raise InvalidModelError(f"which must be visible|hidden, got {which!r}")
 
 
 def phase_partition_F(inst: PottsInstance, which: str) -> tuple[float, float, float]:
@@ -316,14 +279,6 @@ def phase_partition_F(inst: PottsInstance, which: str) -> tuple[float, float, fl
     return log_ZM, log_ZD, log_ZS
 
 
-def sample_hidden_potts_classes(
-    inst: PottsInstance, rng: np.random.Generator, size: int
-) -> np.ndarray:
-    """Class indices (into hidden_class_table) of exact hidden-model draws."""
-    p = inst.hidden_class_probs
-    return rng.choice(len(p), size=size, p=p)
-
-
 def sample_hidden_potts(inst: PottsInstance, rng: np.random.Generator) -> Configuration:
     """An exact draw from the hidden Gibbs distribution mu_{F*}.
 
@@ -331,7 +286,7 @@ def sample_hidden_potts(inst: PottsInstance, rng: np.random.Generator) -> Config
     distribution, then realizes it by uniformly random color placements.
     """
     descriptors, _, _ = inst.hidden_class_table
-    k = int(sample_hidden_potts_classes(inst, rng, 1)[0])
+    k = int(inst.sample_hidden_classes(rng, 1)[0])
     sig_h, sig_k = descriptors[k]
     block = _place_colors(inst.N, sig_k, rng)
     hpart = _place_colors(inst.m, sig_h, rng)

@@ -238,7 +238,7 @@ def test_criterion_07_samplers():
 
     G3 = SpinSystem(q=3, n=3, edges=tuple((i, (i + 1) % 3, 0.5) for i in range(3)), field=())
     pinst = potts.make_potts_instance(G3, m=5, beta_cross=0.3, beta_H=1.0)
-    idx = potts.sample_hidden_potts_classes(pinst, np.random.default_rng(1), draws)
+    idx = pinst.sample_hidden_classes(np.random.default_rng(1), draws)
     tvs["potts"] = _class_tv(_table_probs(pinst), idx)
 
     af = SpinSystem(q=2, n=3, edges=tuple((i, (i + 1) % 3, -0.6) for i in range(3)), field=())
@@ -255,7 +255,7 @@ def test_criterion_07_samplers():
             base, variant, 0.9, 2, 0.0, beta1=1.1, beta2=0.7,
             enforce_guard=False, strict_family=False,
         )
-        idx = hubs.sample_hidden_hub_classes(inst, np.random.default_rng(2), draws)
+        idx = inst.sample_hidden_classes(np.random.default_rng(2), draws)
         tvs[name] = _class_tv(_table_probs(inst), idx)
 
     model = SpinSystem(

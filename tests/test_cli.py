@@ -127,6 +127,27 @@ class TestReduce:
         )
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--epsilon", "0"],
+            ["--num-samples", "0"],
+            ["--num-samples", "-3"],
+            ["--epsilon", "1.5"],
+            ["--log-zhat", "nan"],
+            ["--log-zhat", "inf"],
+        ],
+    )
+    def test_bad_reduction_input_is_an_error(self, runner, cubic12_path, extra):
+        result = runner.invoke(
+            main,
+            ["reduce", cubic12_path, "--variant", "antiferro",
+             "--log-zhat", "2", "--seed", "1", *extra],
+        )
+        assert result.exit_code == 1
+        assert "Error:" in result.output
+        assert isinstance(result.exception, SystemExit)
+
     def test_missing_seed_usage_error(self, runner, cubic12_path):
         result = runner.invoke(
             main,

@@ -1,11 +1,13 @@
+import hashlib
 import math
 
 import networkx as nx
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from naive_oracle import random_model
-from spinlab import counting as ct, hubs
+from spinlab import counting as ct, hubs, potts
 from spinlab.errors import GuardViolation, InvalidConfigurationError, InvalidModelError
 from spinlab.exact import partition_log
 from spinlab.model import SpinSystem
@@ -188,7 +190,7 @@ class TestTesters:
                 enforce_guard=False,
             )
             descriptors, _, _ = inst.hidden_class_table
-            idx = hubs.sample_hidden_hub_classes(inst, rng, 20_000)
+            idx = inst.sample_hidden_classes(rng, 20_000)
             samples = []
             for i in idx:
                 c1, c2, k = descriptors[i]
@@ -239,7 +241,7 @@ class TestGenericReduction:
             )
 
         tester = ct.oracle_tv_tester(0.9, 2)
-        sampler = lambda inst, rng: hubs.sample_hidden_hub_classes(inst, rng, 1)[0]
+        sampler = lambda inst, rng: inst.sample_hidden_classes(rng, 1)[0]
         for lzh, expected in (
             (math.log(r) + log_ZG + 1.0, ANSWER_LOW),
             (log_ZG - math.log(r) - 1.0, ANSWER_HIGH),
@@ -258,7 +260,7 @@ class TestGenericReduction:
         builder = lambda GG, lzh: hubs.build_hub_instance(
             GG, hubs.VARIANT_ANTIFERRO, 0.9, 2, lzh, enforce_guard=False
         )
-        sampler = lambda inst, rng: hubs.sample_hidden_hub_classes(inst, rng, 1)[0]
+        sampler = lambda inst, rng: inst.sample_hidden_classes(rng, 1)[0]
         reports = ct.run_reduction_trials(
             G, builder, sampler, ct.oracle_tv_tester(0.9, 2), 2,
             branches=[("low", math.log(r) + log_ZG + 1.0, ANSWER_LOW)],
@@ -306,3 +308,76 @@ class TestTrialHarness:
         )
         assert all(rep["correct"] for rep in reports)
         assert len({rep["tv_exact"] for rep in reports[:3]}) == 1
+
+
+class TestReductionContract:
+    @pytest.mark.parametrize("epsilon", [0.0, 1.0, -0.5, float("nan")])
+    def test_testing_rate_rejects_epsilon(self, epsilon):
+        with pytest.raises(InvalidConfigurationError):
+            ct.testing_rate(epsilon, 2)
+
+    @pytest.mark.parametrize("L", [0, -3])
+    def test_testing_rate_rejects_sample_count(self, L):
+        with pytest.raises(InvalidConfigurationError):
+            ct.testing_rate(0.9, L)
+
+    @pytest.mark.parametrize("log_Zhat", [float("nan"), float("inf"), float("-inf")])
+    def test_check_guard_rejects_non_finite(self, log_Zhat):
+        with pytest.raises(InvalidConfigurationError):
+            ct.check_guard(log_Zhat, -1.0, 1.0)
+
+    def test_check_guard_answers(self):
+        ct.check_guard(0.0, -1.0, 1.0)
+        with pytest.raises(GuardViolation) as below:
+            ct.check_guard(-2.0, -1.0, 1.0)
+        with pytest.raises(GuardViolation) as above:
+            ct.check_guard(2.0, -1.0, 1.0)
+        assert below.value.suggested_answer == ANSWER_HIGH
+        assert above.value.suggested_answer == ANSWER_LOW
+
+
+def pinned_instance(case):
+    """Small hub and Potts instances whose hidden draws and class tables are
+    pinned by digest below."""
+    if case == "potts":
+        G = SpinSystem(q=3, n=3, edges=tuple((i, (i + 1) % 3, 0.5) for i in range(3)), field=())
+        return potts.make_potts_instance(G, m=5, beta_cross=0.3, beta_H=1.0), potts.sample_hidden_potts
+    cycle = ((0, 1), (1, 2), (2, 3), (0, 3))
+    if case == "antiferro":
+        G = SpinSystem(q=2, n=4, edges=tuple((u, v, -0.6) for u, v in cycle))
+    else:
+        spins = [v % 2 for v in range(4)] if case == "ferro-alternating" else [0] * 4
+        G = SpinSystem(q=2, n=4, edges=tuple((u, v, 0.8) for u, v in cycle),
+                       field=tuple((v, s, 0.5) for v, s in enumerate(spins)))
+    variant = hubs.VARIANT_ANTIFERRO if case == "antiferro" else hubs.VARIANT_FERRO
+    inst = hubs.build_hub_instance(G, variant, 0.9, 2, 0.0, beta1=1.1, beta2=0.7, n_uv=2, n_ss=3,
+                                   enforce_guard=False, strict_family=False)
+    return inst, hubs.sample_hidden_hub
+
+
+# sha256 of 50 hidden draws (seed 2024) and of the hidden class table bytes
+PINNED_DIGESTS = {
+    "antiferro": ("e844ef6a53bee23fe8a79f95c42953c8a28e8a6314da1036526f0aa203feffeb",
+                  "fb8e39eea5ad5ce5f9e7968deda721080c1e9b8bac92a17b151f490cebdb0238"),
+    "ferro-alternating": ("4a06719c7072f2253db4f4c3560a787f90707ce9c3a7f3794a4b6723b0bf73fb",
+                          "81318650b6a82199295a25dd7fc1861c95340ea86bafae3d4513200392b91eed"),
+    # every field spin 0: the spin-1 field group is empty
+    "ferro-zero": ("a5f761bc74f64cb2befa4e3d6df0bdaa17b49c08c6196776af1329df52b15942",
+                   "687e11e4dbb94d3c8d8412114219274e4fe0d94bb839929b29dd5aebeded1351"),
+    "potts": ("b525938b877e3f501ad8746bea91e051adeae2b32a5b022f78f3ff2bc73f8acf",
+              "653078a5a04a57f5b6b380f22dfe5044507212d647d0d4b262649effced5d4a8"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_DIGESTS))
+def test_pinned_hidden_draws_and_class_tables(case):
+    inst, sampler = pinned_instance(case)
+    rng = np.random.default_rng(2024)
+    draws = np.array([sampler(inst, rng).spins for _ in range(50)], dtype=np.int64)
+    descriptors, log_count, log_weight = inst.hidden_class_table
+    table = repr(descriptors).encode() + log_count.tobytes() + log_weight.tobytes()
+    assert (hashlib.sha256(draws.tobytes()).hexdigest(),
+            hashlib.sha256(table).hexdigest()) == PINNED_DIGESTS[case]
+    if case != "potts":
+        hidden_log_Z = inst.collapsed_pair[1].log_Z
+        assert abs(float(logsumexp(log_count + log_weight)) - hidden_log_Z) <= 1e-12

@@ -247,7 +247,7 @@ class TestHiddenSampler:
         _, lc, lw = inst.hidden_class_table
         p = np.exp(lc + lw - logsumexp(lc + lw))
         p /= p.sum()
-        idx = hubs.sample_hidden_hub_classes(inst, np.random.default_rng(3), 100_000)
+        idx = inst.sample_hidden_classes(np.random.default_rng(3), 100_000)
         emp = np.bincount(idx, minlength=len(p)) / len(idx)
         assert 0.5 * np.abs(emp - p).sum() < 0.02
 
@@ -279,7 +279,7 @@ class TestHiddenSampler:
 def looped_collapsed_hub(inst, which):
     """The hub collapsed space with its own bit decode and per-edge weight
     loop, kept as a reference for the shared block routine."""
-    base = hubs._base_block(inst, which)
+    base = inst.base_block(which)
     N = inst.N
     idx = np.arange(1 << N, dtype=np.int64)
     spins = ((idx[:, None] >> np.arange(N)[None, :]) & 1).astype(np.int8)

@@ -178,7 +178,7 @@ class TestHiddenSampler:
         _, lc, lw = inst.hidden_class_table
         p = np.exp(lc + lw - logsumexp(lc + lw))
         p /= p.sum()
-        idx = potts.sample_hidden_potts_classes(inst, rng, 100_000)
+        idx = inst.sample_hidden_classes(rng, 100_000)
         emp = np.bincount(idx, minlength=len(p)) / len(idx)
         assert 0.5 * np.abs(emp - p).sum() < 0.02
 
