@@ -159,9 +159,8 @@ def cmd_meanfield_sweep(q, m_values, target_ratio, delta, out, fmt) -> None:
               help="Exit with code 3 on guard violation instead of reporting the certified answer.")
 @click.option("--timing", is_flag=True, help="Include runtime_ms in the report.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
-@click.option("--format", "fmt", type=click.Choice(["json"]), default="json")
 def cmd_reduce(model_path, variant, log_zhat, epsilon, l_samples, tester, seed,
-               strict_guard, timing, out, fmt) -> None:
+               strict_guard, timing, out) -> None:
     """One counting-to-testing reduction trial; JSON-lines report."""
 
     def body() -> None:
@@ -175,7 +174,8 @@ def cmd_reduce(model_path, variant, log_zhat, epsilon, l_samples, tester, seed,
             )
 
         if strict_guard:
-            builder(G, log_zhat)  # raises GuardViolation -> exit 3
+            checked = builder(G, log_zhat)  # raises GuardViolation -> exit 3
+            builder = lambda GG, lzh: checked  # the trial reuses the checked instance
 
         def sampler(inst, rng):
             return hubs.sample_hidden_hub(inst, rng)
@@ -214,8 +214,7 @@ def cmd_reduce(model_path, variant, log_zhat, epsilon, l_samples, tester, seed,
 @click.option("--beta-hat", type=float, required=True)
 @click.option("--seed", type=int, required=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
-@click.option("--format", "fmt", type=click.Choice(["json"]), default="json")
-def cmd_blowup(model_path, b, d, rho, alpha, beta_hat, seed, out, fmt) -> None:
+def cmd_blowup(model_path, b, d, rho, alpha, beta_hat, seed, out) -> None:
     """Blow a model up through a sampled degree-reducing gadget."""
 
     def body() -> None:

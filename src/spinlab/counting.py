@@ -43,9 +43,6 @@ from .model import Configuration, SpinSystem, classify_field, disjoint_union, FI
 ANSWER_LOW = "Z<=Zhat/r"
 ANSWER_HIGH = "Z>=r*Zhat"
 
-DEFAULT_CONFIDENCE = 5.0 / 8.0
-TESTER_CONFIDENCE = 3.0 / 4.0
-
 PROVENANCE_TESTER = "tester"
 PROVENANCE_GUARD = "guard-bound"
 
@@ -54,7 +51,6 @@ PROVENANCE_GUARD = "guard-bound"
 class DecisionQuery:
     log_Zhat: float
     r: float
-    confidence: float = DEFAULT_CONFIDENCE
 
     def __post_init__(self) -> None:
         if self.r <= 1.0:
@@ -85,11 +81,17 @@ def testing_rate(epsilon: float, L: int) -> float:
     return 96.0 / epsilon * math.sqrt(epsilon * L + 1)
 
 
+def check_finite_log_Zhat(log_Zhat: float) -> None:
+    """Reject a nan or infinite log Ẑ, which no guard window or solver target
+    can place."""
+    if not math.isfinite(log_Zhat):
+        raise InvalidConfigurationError(f"log Zhat must be finite, got {log_Zhat!r}")
+
+
 def check_guard(log_Zhat: float, floor: float, ceiling: float) -> None:
     """Raise the GuardViolation carrying the certified answer when log Ẑ lies
     outside the certified window [floor, ceiling]."""
-    if not math.isfinite(log_Zhat):
-        raise InvalidConfigurationError(f"log Zhat must be finite, got {log_Zhat!r}")
+    check_finite_log_Zhat(log_Zhat)
     if log_Zhat < floor:
         raise GuardViolation("below", ANSWER_HIGH, f"log Zhat {log_Zhat:.4g} < floor {floor:.4g}")
     if log_Zhat > ceiling:
@@ -147,12 +149,19 @@ class ReductionInstance:
 # -- testers ----------------------------------------------------------------------
 
 
+def _tester_threshold(epsilon: float, L: int) -> float:
+    """Midpoint of the contract gap [1/(16L), 1-eps]; ε and L are checked as
+    in :func:`testing_rate`."""
+    testing_rate(epsilon, L)
+    return 0.5 * (1.0 / (16.0 * L) + (1.0 - epsilon))
+
+
 def oracle_tv_tester(epsilon: float, L: int) -> Callable:
     """Pipeline-validation tester: thresholds the exact collapsed TV between
     the instance's visible and hidden models at the midpoint of the
     contract gap [1/(16L), 1-eps].  Ignores the samples; deterministic;
     ties resolve to Yes."""
-    threshold = 0.5 * (1.0 / (16.0 * L) + (1.0 - epsilon))
+    threshold = _tester_threshold(epsilon, L)
 
     def tester(instance, samples: Sequence, rng=None) -> bool:
         vis, hid = instance.collapsed_pair
@@ -167,7 +176,7 @@ def empirical_tester(epsilon: float, L: int) -> Callable:
     """Plug-in tester: estimates TV between the visible class distribution
     and the empirical class frequencies of the samples; thresholds at the
     same contract-gap midpoint.  Needs L large relative to the class count."""
-    threshold = 0.5 * (1.0 / (16.0 * L) + (1.0 - epsilon))
+    threshold = _tester_threshold(epsilon, L)
 
     def tester(instance, samples: Sequence, rng=None) -> bool:
         if not samples:

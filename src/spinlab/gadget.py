@@ -66,8 +66,6 @@ class GadgetParams:
     d_in: int
     d_out: int
     regime: str
-    rho: Optional[float] = None
-    alpha: Optional[float] = None
 
     def __post_init__(self) -> None:
         if min(self.b, self.p, self.d_in) < 1 or self.d_out < 0:
@@ -95,7 +93,6 @@ class GadgetParams:
             d_in=d - 1,
             d_out=1,
             regime=REGIME_LOW,
-            alpha=alpha,
         )
 
     @classmethod
@@ -107,7 +104,6 @@ class GadgetParams:
             d_in=d_in,
             d_out=d - d_in,
             regime=REGIME_HIGH,
-            rho=rho,
         )
 
     @classmethod
@@ -192,7 +188,6 @@ class BlowupInstance:
     base: SpinSystem
     params: GadgetParams
     gadget: Gadget
-    beta_hat: float
     model: SpinSystem
 
     @property
@@ -298,7 +293,6 @@ def build_blowup(
         base=G,
         params=params,
         gadget=gadget,
-        beta_hat=beta_hat,
         model=model,
     )
 

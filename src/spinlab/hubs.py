@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from .counting import ReductionInstance, check_guard, testing_rate
+from .counting import ReductionInstance, check_finite_log_Zhat, check_guard, testing_rate
 from .errors import InvalidModelError, TargetUnreachableError
 from .model import (
     Configuration,
@@ -60,16 +60,8 @@ class HubInstance(ReductionInstance):
     beta1: float
     beta2: float
     h: float
-    beta_G: float  # uniform base coupling (beta_hat for the ferro variant)
     h_hat: float
     beta_K: float
-    log_Zhat: float
-    r: float
-    epsilon: float
-    L: int
-    # antiferro: log of the base ground-state exponent e^{sum of couplings}
-    # (-0.9N canonically); ferro: log of the two-color monochromatic weight sum.
-    log_Zmono: float
     field_spins: tuple[int, ...]  # ferro variant: per-base-vertex field spin
 
     q = 2  # Ising; a class attribute, not a field
@@ -351,6 +343,8 @@ def build_hub_instance(
     if n_ss is None:
         n_ss = N * N
     r = testing_rate(epsilon, L)
+    check_finite_log_Zhat(log_Zhat)
+    # log_Zmono sets the guard window and the beta2 target.
     if variant == VARIANT_ANTIFERRO:
         # Ground-state exponent of the base family: e^{sum of couplings}
         # (= e^{-0.9N} for the canonical 3-regular beta_G = -0.6 family).
@@ -358,6 +352,7 @@ def build_hub_instance(
         floor = math.log(r) + N * math.log(2.0) + log_Zmono
         ceiling = N * math.log(2.0) - math.log(r)
     else:
+        # log of the two-color monochromatic weight sum
         log_Zmono = log_Zmono_of(G)
         floor = math.log(r) + log_Zmono
         ceiling = 0.5 * (beta_G + h_hat + 1.0) * N * N - math.log(r)
@@ -399,14 +394,8 @@ def build_hub_instance(
         beta1=beta1,
         beta2=beta2,
         h=h,
-        beta_G=beta_G,
         h_hat=h_hat,
         beta_K=beta_K,
-        log_Zhat=log_Zhat,
-        r=r,
-        epsilon=epsilon,
-        L=L,
-        log_Zmono=log_Zmono,
         field_spins=field_spins,
     )
 

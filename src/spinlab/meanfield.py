@@ -57,8 +57,6 @@ def psi1(x: float, beta_scaled: float, q: int) -> float:
 class CriticalPoint:
     Bo: float
     alpha_hat: float
-    phi_at_u: float
-    phi_at_majority: float
 
 
 def _psi1_grid(xs: np.ndarray, beta_scaled: float, q: int) -> np.ndarray:
@@ -116,10 +114,7 @@ def find_critical_Bo(q: int, tol: float = 1e-11) -> CriticalPoint:
     else:
         raise TargetUnreachableError("coexistence bisection did not converge")
     bo = 0.5 * (lo + hi)
-    alpha_hat, val = _majority_argmax(bo, q)
-    return CriticalPoint(
-        Bo=bo, alpha_hat=alpha_hat, phi_at_u=psi1(1.0 / q, bo, q), phi_at_majority=val
-    )
+    return CriticalPoint(Bo=bo, alpha_hat=_majority_argmax(bo, q)[0])
 
 
 def default_alpha_hat(q: int) -> float:
@@ -232,11 +227,7 @@ def classify_signatures(
 
 @dataclass(frozen=True)
 class PhaseSplit:
-    m: int
-    q: int
-    beta_H: float
     alpha_hat: float
-    window: float
     log_ZM: float
     log_ZD: float
     log_ZS: float
@@ -311,11 +302,7 @@ def phase_split(
         terms = logw[idx]
         branches.append(_log_sum(terms if log_frac is None else terms + log_frac))
     return PhaseSplit(
-        m=m,
-        q=q,
-        beta_H=beta_H,
         alpha_hat=alpha_hat,
-        window=float(m) ** window_exponent,
         log_ZM=log_ZM,
         log_ZD=log_ZD,
         log_ZS=log_ZS,

@@ -23,7 +23,8 @@ from scipy.special import logsumexp
 
 from . import meanfield
 # ANSWER_* are re-exported for callers that import them from here.
-from .counting import ANSWER_HIGH, ANSWER_LOW, ReductionInstance, check_guard, testing_rate
+from .counting import ANSWER_HIGH, ANSWER_LOW, ReductionInstance
+from .counting import check_finite_log_Zhat, check_guard, testing_rate
 from .errors import InfeasibleParametersError, InvalidModelError
 from .exact import ClassLayout, CollapsedSpace, state_table
 from .model import Configuration, SpinSystem, classify_field, FIELD_ZERO
@@ -38,15 +39,10 @@ class PottsInstance(ReductionInstance):
     N: int
     m: int
     q: int
-    beta_G: float
     beta_cross: float
     beta_H: float
     beta_K: float
     alpha_hat: float
-    log_Zhat: float
-    r: float
-    epsilon: float
-    L: int
 
     @cached_property
     def hidden_class_table(self) -> tuple[tuple, np.ndarray, np.ndarray]:
@@ -93,25 +89,11 @@ class PottsInstance(ReductionInstance):
         return rank
 
 
-def make_potts_instance(
-    G: SpinSystem,
-    m: int,
-    beta_cross: float,
-    beta_H: float,
-    *,
-    log_Zhat: float = 0.0,
-    r: float = 1.0,
-    epsilon: float = 0.5,
-    L: int = 1,
-    alpha_hat: Optional[float] = None,
-) -> PottsInstance:
-    """Direct constructor with explicit parameters (no solver, no guard)."""
-    _check_base_graph(G)
+def make_potts_instance(G: SpinSystem, m: int, beta_cross: float, beta_H: float) -> PottsInstance:
+    """Direct constructor with explicit couplings (no solver, no guard)."""
+    beta_G = _check_base_graph(G)
     q, N = G.q, G.n
-    beta_G = G.edges[0][2] if G.edges else 0.0
     beta_K = beta_G + 4.0 * math.log(q)
-    if alpha_hat is None:
-        alpha_hat = meanfield.default_alpha_hat(q)
     visible = _assemble(G_edges=G.edges, N=N, m=m, q=q, beta_H=beta_H, beta_cross=beta_cross)
     k_edges = tuple((i, j, beta_K) for i in range(N) for j in range(i + 1, N))
     hidden = _assemble(G_edges=k_edges, N=N, m=m, q=q, beta_H=beta_H, beta_cross=beta_cross)
@@ -121,26 +103,25 @@ def make_potts_instance(
         N=N,
         m=m,
         q=q,
-        beta_G=beta_G,
         beta_cross=beta_cross,
         beta_H=beta_H,
         beta_K=beta_K,
-        alpha_hat=alpha_hat,
-        log_Zhat=log_Zhat,
-        r=r,
-        epsilon=epsilon,
-        L=L,
+        alpha_hat=meanfield.default_alpha_hat(q),
     )
 
 
-def _check_base_graph(G: SpinSystem) -> None:
+def _check_base_graph(G: SpinSystem) -> float:
+    """The uniform coupling beta_G of a zero-field ferromagnetic base graph
+    (0 when it has no edges)."""
     if classify_field(G) != FIELD_ZERO:
         raise InvalidModelError("base graph must have zero field")
     betas = {b for _, _, b in G.edges}
     if len(betas) > 1:
         raise InvalidModelError("base graph must have uniform couplings")
-    if betas and next(iter(betas)) <= 0:
+    beta_G = betas.pop() if betas else 0.0
+    if G.edges and beta_G <= 0:
         raise InvalidModelError("base graph must be ferromagnetic")
+    return beta_G
 
 
 def _assemble(G_edges, N: int, m: int, q: int, beta_H: float, beta_cross: float) -> SpinSystem:
@@ -176,8 +157,7 @@ def beta_interval(
 
 def guard_bounds(G: SpinSystem, r: float) -> tuple[float, float]:
     """Certified log-Zhat window [log(r q e^{bG|E|}), log(q^N e^{bG|E|} / r)]."""
-    beta_G = G.edges[0][2] if G.edges else 0.0
-    log_e = beta_G * len(G.edges)
+    log_e = _check_base_graph(G) * len(G.edges)
     return math.log(r) + math.log(G.q) + log_e, G.n * math.log(G.q) + log_e - math.log(r)
 
 
@@ -194,9 +174,10 @@ def build_potts_instance(
     enforce_guard: bool = True,
 ) -> PottsInstance:
     """Full construction: pick beta at the interval midpoint, solve beta_H."""
-    _check_base_graph(G)
+    beta_G = _check_base_graph(G)
     q, N = G.q, G.n
     r = testing_rate(epsilon, L)
+    check_finite_log_Zhat(log_Zhat)
     if enforce_guard:
         check_guard(log_Zhat, *guard_bounds(G, r))
     alpha_hat = meanfield.default_alpha_hat(q)
@@ -207,7 +188,6 @@ def build_potts_instance(
             f"increase m"
         )
     beta_cross = 0.5 * (lo + hi)
-    beta_G = G.edges[0][2] if G.edges else 0.0
     alpha_0 = alpha_hat - 1.0 / q
     # Window for Z_H^D/Z_H^M is [3/8, 3/4]/sqrt(eps L + 1) times
     # exp(alpha_0*beta*N*m + beta_G|E_G|)/Zhat, i.e. the inverse ratio
@@ -221,18 +201,7 @@ def build_potts_instance(
     )
     target_R = math.exp(-log_x)
     beta_H = meanfield.solve_beta_H(m, q, target_R, delta=0.5, alpha_hat=alpha_hat)
-    inst = make_potts_instance(
-        G,
-        m,
-        beta_cross,
-        beta_H,
-        log_Zhat=log_Zhat,
-        r=r,
-        epsilon=epsilon,
-        L=L,
-        alpha_hat=alpha_hat,
-    )
-    return inst
+    return make_potts_instance(G, m, beta_cross, beta_H)
 
 
 # -- collapsed spaces and sampling -------------------------------------------

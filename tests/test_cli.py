@@ -5,6 +5,7 @@ import networkx as nx
 import pytest
 from click.testing import CliRunner
 
+from spinlab import hubs
 from spinlab.cli import main
 from spinlab.model import SpinSystem, model_from_dict, save_model
 
@@ -118,6 +119,26 @@ class TestReduce:
              "--log-zhat", "-50", "--seed", "1", "--strict-guard"],
         )
         assert result.exit_code == 3
+
+    def test_strict_guard_builds_once(self, runner, cubic12_path, monkeypatch):
+        calls = []
+        build = hubs.build_hub_instance
+
+        def counted(*args, **kwargs):
+            calls.append(args[4])
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(hubs, "build_hub_instance", counted)
+        args = ["reduce", cubic12_path, "--variant", "antiferro",
+                "--log-zhat", "2.9", "--seed", "11"]
+        plain = runner.invoke(main, args)
+        assert plain.exit_code == 0
+        assert json.loads(plain.output)["provenance"] == "tester"  # inside the window
+        assert calls == [2.9]
+        strict = runner.invoke(main, args + ["--strict-guard"])
+        assert strict.exit_code == 0
+        assert calls == [2.9, 2.9]
+        assert strict.output == plain.output
 
     def test_unknown_variant_usage_error(self, runner, cubic12_path):
         result = runner.invoke(

@@ -335,6 +335,35 @@ class TestReductionContract:
         assert below.value.suggested_answer == ANSWER_HIGH
         assert above.value.suggested_answer == ANSWER_LOW
 
+    @pytest.mark.parametrize("factory", [ct.oracle_tv_tester, ct.empirical_tester])
+    @pytest.mark.parametrize(
+        "epsilon, L",
+        [(e, 2) for e in (0.0, 1.0, 1.5, -0.5, float("nan"))] + [(0.9, 0), (0.9, -3)],
+    )
+    def test_testers_reject_epsilon_and_sample_count(self, factory, epsilon, L):
+        with pytest.raises(InvalidConfigurationError):
+            factory(epsilon, L)
+
+    @pytest.mark.parametrize("log_Zhat", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("case", ["antiferro", "ferro-field", "potts"])
+    def test_builders_reject_non_finite_log_Zhat_without_guard(self, case, log_Zhat):
+        cycle = tuple((v, (v + 1) % 4) for v in range(4))
+        with pytest.raises(InvalidConfigurationError):
+            if case == "potts":
+                G = SpinSystem(q=3, n=4, edges=tuple((u, v, 0.5) for u, v in cycle))
+                potts.build_potts_instance(
+                    G, 30, 0.9, 2, log_Zhat, c1=0.01, c2=1.0, enforce_guard=False
+                )
+            elif case == "antiferro":
+                G = SpinSystem(q=2, n=4, edges=tuple((u, v, -0.6) for u, v in cycle))
+                hubs.build_hub_instance(
+                    G, case, 0.9, 2, log_Zhat, enforce_guard=False, strict_family=False
+                )
+            else:
+                G = SpinSystem(q=2, n=4, edges=tuple((u, v, 0.8) for u, v in cycle),
+                               field=tuple((v, v % 2, 0.5) for v in range(4)))
+                hubs.build_hub_instance(G, case, 0.9, 2, log_Zhat, enforce_guard=False)
+
 
 def pinned_instance(case):
     """Small hub and Potts instances whose hidden draws and class tables are
