@@ -222,7 +222,7 @@ def cmd_blowup(model_path, b, d, rho, alpha, beta_hat, seed, out) -> None:
         if rho is not None:
             params = gadget_mod.GadgetParams.high_degree(b, d, rho)
         else:
-            params = gadget_mod.GadgetParams.auto(b, d, alpha=alpha)
+            params = gadget_mod.GadgetParams.auto(b, d, G, beta_hat, alpha=alpha)
         inst = gadget_mod.build_blowup(G, params, beta_hat, named_rng(seed, "blowup"))
         doc = model_to_dict(inst.model)
         doc["gadget_map"] = {

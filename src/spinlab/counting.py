@@ -311,12 +311,12 @@ def crude_bounds(model: SpinSystem) -> tuple[float, float]:
     return lo, hi
 
 
-def crude_exponent(model: SpinSystem, margin: float = 1e-9) -> float:
-    """The smallest c1 with e^{-c1 n^2} ≤ Z ≤ e^{c1 n^2} per crude_bounds."""
+def crude_exponent(model: SpinSystem) -> float:
+    """The smallest c1 with e^{-c1 n^2} ≤ Z ≤ e^{c1 n^2} per crude_bounds, plus 1e-9 slack."""
     if model.n == 0:
         raise InvalidModelError("crude_exponent needs at least one vertex")
     lo, hi = crude_bounds(model)
-    return (max(abs(lo), abs(hi)) + margin) / float(model.n * model.n)
+    return (max(abs(lo), abs(hi)) + 1e-9) / float(model.n * model.n)
 
 
 def amplify_copies(model: SpinSystem, c: float, rho: float) -> tuple[SpinSystem, int]:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 
 class SpinLabError(Exception):
     """Base class for all package errors."""
@@ -16,15 +18,18 @@ class InvalidModelError(SpinLabError):
 
 
 class BudgetExceededError(SpinLabError):
-    """An enumeration would exceed the configured state-space budget."""
+    """An enumeration would exceed the configured budget; ``needed_bits`` is
+    log2 of what it would enumerate, the q^n states of n spins by default."""
 
-    def __init__(self, n: int, q: int, budget_bits: float):
+    def __init__(self, n: int, q: int, budget_bits: float, needed_bits: float | None = None):
         self.n = n
         self.q = q
         self.budget_bits = budget_bits
+        if needed_bits is None:
+            needed_bits = n * math.log2(q)
         super().__init__(
             f"enumeration budget exceeded: n={n}, q={q} needs "
-            f"{n * _log2(q):.1f} bits > cap {budget_bits}"
+            f"{needed_bits:.1f} bits > cap {budget_bits:.4g}"
         )
 
 
@@ -51,9 +56,3 @@ class TargetUnreachableError(SpinLabError):
 
 class InfeasibleParametersError(SpinLabError):
     """Requested construction parameters admit no valid instance."""
-
-
-def _log2(q: int) -> float:
-    import math
-
-    return math.log2(q)

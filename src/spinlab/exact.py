@@ -231,11 +231,7 @@ def partition_log(model: SpinSystem, budget_bits: float = DEFAULT_BUDGET_BITS) -
 
 
 def restricted_partition_log(
-    model: SpinSystem,
-    predicate: Callable,
-    *,
-    vectorized: bool = False,
-    budget_bits: float = DEFAULT_BUDGET_BITS,
+    model: SpinSystem, predicate: Callable, *, vectorized: bool = False
 ) -> float:
     """log of the weight sum over configurations satisfying ``predicate``.
 
@@ -249,16 +245,14 @@ def restricted_partition_log(
         def predicate(spins: np.ndarray) -> list[bool]:
             return [bool(scalar(Configuration(tuple(row)))) for row in spins.tolist()]
 
-    return restricted_partition_multi(model, [predicate], budget_bits)[0]
+    return restricted_partition_multi(model, [predicate])[0]
 
 
 def restricted_partition_multi(
-    model: SpinSystem,
-    predicates: Sequence[Callable[[np.ndarray], np.ndarray]],
-    budget_bits: float = DEFAULT_BUDGET_BITS,
+    model: SpinSystem, predicates: Sequence[Callable[[np.ndarray], np.ndarray]]
 ) -> list[float]:
     """Several vectorized restricted sums in a single enumeration pass."""
-    check_budget(model, budget_bits)
+    check_budget(model)
     parts: list[list[float]] = [[] for _ in predicates]
     for lw, spins in iter_blocks(model, with_spins=True):
         for k, pred in enumerate(predicates):
@@ -268,16 +262,12 @@ def restricted_partition_multi(
     return [_logsumexp_parts(p) for p in parts]
 
 
-def tv_exact(
-    model_a: SpinSystem,
-    model_b: SpinSystem,
-    budget_bits: float = DEFAULT_BUDGET_BITS,
-) -> float:
+def tv_exact(model_a: SpinSystem, model_b: SpinSystem) -> float:
     """Total-variation distance between the two Gibbs distributions."""
     if model_a.n != model_b.n or model_a.q != model_b.q:
         raise InvalidModelError("tv_exact requires matching n and q")
-    log_za = partition_log(model_a, budget_bits)
-    log_zb = partition_log(model_b, budget_bits)
+    log_za = partition_log(model_a)
+    log_zb = partition_log(model_b)
     return 0.5 * sum(
         float(np.sum(np.abs(np.exp(lwa - log_za) - np.exp(lwb - log_zb))))
         for (lwa, _), (lwb, _) in zip(iter_blocks(model_a), iter_blocks(model_b))

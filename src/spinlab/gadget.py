@@ -28,12 +28,7 @@ from .errors import (
     InvalidConfigurationError,
     InvalidModelError,
 )
-from .exact import (
-    DEFAULT_BUDGET_BITS,
-    block_log_weights,
-    partition_log,
-    restricted_partition_multi,
-)
+from .exact import block_log_weights, partition_log, restricted_partition_multi
 from .model import (
     Configuration,
     SpinSystem,
@@ -107,12 +102,17 @@ class GadgetParams:
         )
 
     @classmethod
-    def auto(cls, b: int, d: int, *, alpha: float = 0.25, rho: float = 0.5) -> "GadgetParams":
-        """Pick the regime by degree: the port-subset construction when a
-        proper port subset fits, otherwise the all-port split."""
+    def auto(cls, b: int, d: int, G: SpinSystem, beta_hat: float, *,
+             alpha: float = 0.25) -> "GadgetParams":
+        """Pick the regime for blowing up ``G`` with cross weight ``beta_hat``:
+        the port-subset construction when a proper port subset fits and its
+        ⌊b^α⌋ ports carry G's port demand, otherwise the all-port split at
+        ρ = 0.5."""
         if d < b and math.floor(b**alpha) < b:
-            return cls.low_degree(b, d, alpha)
-        return cls.high_degree(b, d, rho)
+            low = cls.low_degree(b, d, alpha)
+            if math.prod(_port_demand(G, beta_hat, low.d_out)) <= low.p:
+                return low
+        return cls.high_degree(b, d, 0.5)
 
 
 @dataclass(frozen=True)
@@ -183,6 +183,25 @@ def _cross_pattern(ell: int, d_out: int) -> list[tuple[int, int]]:
     return pairs
 
 
+def _cross_edges(beta: float, beta_hat: float) -> int:
+    """ℓ(e) = ⌈|β_G(e)|/β̂⌉, the cross edges per side-pair of a base edge."""
+    return int(math.ceil(abs(beta) / beta_hat))
+
+
+def _ports_per_side(ell: int, d_out: int) -> int:
+    """Ports one gadget side spends on ``ell`` cross edges of degree ≤ d_out."""
+    return d_out * math.ceil(ell / (d_out * d_out))
+
+
+def _port_demand(G: SpinSystem, beta_hat: float, d_out: int) -> tuple[int, int]:
+    """(max base degree, ports per edge of the heaviest base edge): a gadget
+    side needs their product in ports to wire every base edge of ``G``."""
+    need = max((_ports_per_side(_cross_edges(beta, beta_hat), d_out) for _, _, beta in G.edges),
+               default=0)
+    d_G = int(G.degrees.max()) if G.n and len(G.edges) else 0
+    return d_G, need
+
+
 @dataclass(frozen=True)
 class BlowupInstance:
     base: SpinSystem
@@ -222,15 +241,9 @@ def build_blowup(
             "blow-up requires an h-vertex-monochromatic field on the base model"
         )
     b, p, d_out = params.b, params.p, params.d_out
-    ells = {
-        (u, v): int(math.ceil(abs(beta) / beta_hat)) for u, v, beta in G.edges
-    }
+    ells = {(u, v): _cross_edges(beta, beta_hat) for u, v, beta in G.edges}
     if d_out > 0:
-        need = max(
-            (d_out * math.ceil(ell / (d_out * d_out)) for ell in ells.values()),
-            default=0,
-        )
-        d_G = int(G.degrees.max()) if G.n and len(G.edges) else 0
+        d_G, need = _port_demand(G, beta_hat, d_out)
         if d_G * need > p:
             worst = max(ells, key=lambda e: ells[e]) if ells else None
             raise InfeasibleParametersError(
@@ -253,7 +266,7 @@ def build_blowup(
     free_R = {v: list(gadget.ports_R) for v in range(G.n)}
     for u, v, beta in G.edges:
         ell = ells[(u, v)]
-        need = d_out * math.ceil(ell / (d_out * d_out))
+        need = _ports_per_side(ell, d_out)
         w = beta / (2.0 * ell)
         pattern = _cross_pattern(ell, d_out)
         for side_a, side_b_, va, vb in (
@@ -317,9 +330,7 @@ def lift_sample(inst: BlowupInstance, sigma_G) -> Configuration:
     return Configuration(tuple(spins[v] for v in range(inst.base.n) for _ in range(two_b)))
 
 
-def omega_good_log_mass(
-    inst: BlowupInstance, budget_bits: float = DEFAULT_BUDGET_BITS
-) -> float:
+def omega_good_log_mass(inst: BlowupInstance) -> float:
     """log μ(Ω_good) by exact enumeration (tiny composites only).
 
     The good part and its complement come from one enumeration pass, so the
@@ -336,22 +347,16 @@ def omega_good_log_mass(
         return ok
 
     log_good, log_bad = restricted_partition_multi(
-        inst.model, [good, lambda spins: ~good(spins)], budget_bits
+        inst.model, [good, lambda spins: ~good(spins)]
     )
     return log_good - float(logsumexp([log_good, log_bad]))
 
 
 def gadget_in_context(
-    gadget: Gadget,
-    q: int,
-    beta_B: float,
-    tau,
-    *,
-    h: float = 0.0,
-    kappa: int = 0,
-    boundary_weight: Optional[float] = None,
+    gadget: Gadget, q: int, beta_B: float, tau, *, boundary_weight: Optional[float] = None
 ) -> SpinSystem:
-    """The gadget model with boundary spins τ folded into per-port fields.
+    """The gadget model with boundary spins τ folded into per-port fields
+    (its only fields).
 
     Each port is joined to ``d_out`` boundary vertices; conditioning on a
     boundary assignment τ (one spin per port-boundary slot, ports in sorted
@@ -372,9 +377,6 @@ def gadget_in_context(
             f"tau must assign {expected} boundary spins, got {len(tau)}"
         )
     field: dict[tuple[int, int], float] = {}
-    if h:
-        for v in range(2 * gadget.b):
-            field[(v, kappa)] = field.get((v, kappa), 0.0) + h
     for slot, spin in enumerate(tau):
         port = ports[slot // params.d_out]
         if not 0 <= spin < q:
@@ -389,11 +391,9 @@ def gadget_in_context(
     )
 
 
-def ground_state_mass(
-    model: SpinSystem, budget_bits: float = DEFAULT_BUDGET_BITS
-) -> float:
+def ground_state_mass(model: SpinSystem) -> float:
     """Exact probability mass of the q monochromatic configurations."""
-    log_Z = partition_log(model, budget_bits)
+    log_Z = partition_log(model)
     monochromatic = np.repeat(np.arange(model.q), model.n).reshape(model.q, model.n)
     total = 0.0
     for log_w in block_log_weights(model, monochromatic):

@@ -38,7 +38,7 @@ from .model import (
     classify_field,
     FIELD_ZERO,
 )
-from .exact import ClassLayout, CollapsedSpace, state_table
+from .exact import ClassLayout, CollapsedSpace, partition_log, state_table
 
 VARIANT_ANTIFERRO = "antiferro"
 VARIANT_FERRO = "ferro-field"
@@ -172,19 +172,16 @@ def _w_factor_antiferro(beta2: float, same_hubs: bool) -> float:
     return float(logsumexp([math.log(3.0) - 2.0 * beta2, 0.0]))
 
 
-def _pendant_factor(beta2: float, h: float, hub_matches_field: bool) -> float:
-    """Log factor of one pendant: sum over its spin of exp(beta2*(match) + field)."""
-    if hub_matches_field:
-        return float(np.logaddexp(beta2 + h, 0.0))
-    return float(np.logaddexp(beta2, h))
-
-
 def _w_factor_ferro(beta2: float, h: float, c1: int, c2: int) -> float:
     """Log of the product of the two hubs' single-pendant factors.
 
-    s1's pendants have field on spin 0, s2's on spin 1.
+    A pendant sums exp(beta2*[spin = hub spin] + field) over its spin; s1's
+    pendants have field on spin 0, s2's on spin 1.
     """
-    return _pendant_factor(beta2, h, c1 == 0) + _pendant_factor(beta2, h, c2 == 1)
+    return sum(
+        float(np.logaddexp(beta2 + h, 0.0)) if hub == spin else float(np.logaddexp(beta2, h))
+        for hub, spin in ((c1, 0), (c2, 1))
+    )
 
 
 def _w_factor(inst: HubInstance, c1: int, c2: int) -> float:
@@ -447,57 +444,29 @@ def _assemble_hub(
 # -- closed forms ---------------------------------------------------------------
 
 
-def closed_form_phase(
-    inst: HubInstance, which: str, log_ZG: Optional[float] = None
-) -> tuple[float, float]:
-    """(log Z^D, log Z^{M0}) from the per-variant closed forms.
+def closed_form_phase(inst: HubInstance, which: str) -> tuple[float, float]:
+    """(log Z^D, log Z^{M0}) in closed form, one formula for both variants.
 
-    Z^D sums over configurations with sigma(s1) != sigma(s2); Z^{M0} over
-    hubs equal and the whole base block monochromatic in the hub spin.
-    ``log_ZG`` overrides the base-block partition value (computed exactly by
-    ``exact.partition_log`` otherwise).
+    Z^D sums over configurations with sigma(s1) != sigma(s2): the w-factor of
+    each unequal hub pair (c1, c2), one agreeing and one disagreeing
+    u-factor per base vertex whatever its spin, and the base-block partition
+    function (exact, by ``partition_log``).  Z^{M0} sums over hubs equal and
+    the whole base block in one colour c: the w-factor at (c, c), 2N
+    agreeing u-factors and the block's log-weight with every vertex in c.
     """
     base = inst.base_block(which)
-    if log_ZG is None:
-        from .exact import partition_log
-
-        log_ZG = partition_log(base)
-    log_zmono = log_Zmono_of(base)
     same_u, diff_u = _u_factors(inst.variant, inst.beta1, 1)
-    if inst.variant == VARIANT_ANTIFERRO:
-        log_zd = (
-            math.log(2.0)
-            + inst.n_ss * _w_factor_antiferro(inst.beta2, same_hubs=False)
-            + inst.N * inst.n_uv * (same_u + diff_u)
-            + log_ZG
-        )
-        # Z^{M0} sums over the two colors c of (w-factor)(u-factor)(mono
-        # weight of color c); the mono weights are already both inside
-        # log_zmono, so no extra hub factor appears.
-        log_zm0 = (
-            inst.n_ss * _w_factor_antiferro(inst.beta2, same_hubs=True)
-            + 2 * inst.N * inst.n_uv * same_u
-            + log_zmono
-        )
-        return log_zd, log_zm0
-    # ferro-field variant
-    a = _pendant_factor(inst.beta2, inst.h, True)  # hub spin matches pendant field
-    b = _pendant_factor(inst.beta2, inst.h, False)
     log_zd = (
-        float(logsumexp([2 * inst.n_ss * a, 2 * inst.n_ss * b]))
+        float(logsumexp([inst.n_ss * _w_factor(inst, c, 1 - c) for c in (0, 1)]))
         + inst.N * inst.n_uv * (same_u + diff_u)
-        + log_ZG
+        + partition_log(base)
     )
-    # For hubs equal to c: s1 pendants give a if c==0 else b; s2 pendants give
-    # b if c==0 else a; the product is a+b either way, but the base mono
-    # weights differ per color, so sum the two colors explicitly.
-    log_e = sum(bb for _, _, bb in base.edges)
-    hmat = base.field_array
-    per_color = [
-        inst.n_ss * (a + b) + 2 * inst.N * inst.n_uv * same_u + log_e + hmat[:, c].sum()
+    log_e = sum(b for _, _, b in base.edges)
+    log_zm0 = float(logsumexp([
+        inst.n_ss * _w_factor(inst, c, c) + 2 * inst.N * inst.n_uv * same_u
+        + log_e + base.field_array[:, c].sum()
         for c in (0, 1)
-    ]
-    log_zm0 = float(logsumexp(per_color))
+    ]))
     return log_zd, log_zm0
 
 

@@ -88,13 +88,11 @@ def _majority_argmax(beta: float, q: int) -> tuple[float, float]:
 
 
 @lru_cache(maxsize=None)
-def find_critical_Bo(q: int, tol: float = 1e-11) -> CriticalPoint:
+def find_critical_Bo(q: int) -> CriticalPoint:
     """Scaled coexistence coupling Bo: the majority-branch maximum of psi1
     equals its value at the uniform point, with the argmax strictly above 1/q."""
     if q < 3:
         raise InvalidModelError("phase coexistence requires q >= 3")
-    if tol <= 0:
-        raise InvalidModelError("tol must be positive")
 
     def height(beta: float) -> float:
         _, val = _majority_argmax(beta, q)
@@ -109,7 +107,7 @@ def find_critical_Bo(q: int, tol: float = 1e-11) -> CriticalPoint:
             hi = mid
         else:
             lo = mid
-        if hi - lo < tol:
+        if hi - lo < 1e-11:
             break
     else:
         raise TargetUnreachableError("coexistence bisection did not converge")
@@ -129,7 +127,7 @@ def enumerate_signatures(m: int, q: int) -> np.ndarray:
     """All color-count vectors (s_1..s_q) summing to m, lexicographic order."""
     count = math.comb(m + q - 1, q - 1)
     if count > SIGNATURE_BUDGET:
-        raise BudgetExceededError(q, m, math.log2(SIGNATURE_BUDGET))
+        raise BudgetExceededError(m, q, math.log2(SIGNATURE_BUDGET), math.log2(count))
     if q == 1:
         return np.asarray([[m]], dtype=np.int64)
     rows: list[tuple[int, ...]] = []
@@ -333,13 +331,12 @@ def solve_beta_H(
     target_R: float,
     delta: float,
     alpha_hat: Optional[float] = None,
-    c_prime_start: float = 1.0,
     c_prime_cap: float = 64.0,
 ) -> float:
     """Find beta_H with (1-delta)*R <= Z^M/Z^D <= R by bisection on g.
 
-    The bracket is Bo/m +- c' * m^{-3/2} with c' doubled adaptively from
-    ``c_prime_start`` up to ``c_prime_cap``.
+    The bracket is Bo/m +- c' * m^{-3/2} with c' doubled adaptively from 1
+    up to ``c_prime_cap``.
     """
     if target_R <= 0 or not 0 < delta < 1:
         raise InvalidModelError("need target_R > 0 and delta in (0,1)")
@@ -351,7 +348,7 @@ def solve_beta_H(
     t_lo = t_hi + math.log1p(-delta)
     t_mid = 0.5 * (t_lo + t_hi)
 
-    c_prime = c_prime_start
+    c_prime = 1.0
     while True:
         half = c_prime * m**-1.5
         lo = max(center - half, 1e-12)

@@ -42,7 +42,11 @@ class PottsInstance(ReductionInstance):
     beta_cross: float
     beta_H: float
     beta_K: float
-    alpha_hat: float
+
+    @property
+    def alpha_hat(self) -> float:
+        """The majority fraction at coexistence, meanfield.default_alpha_hat(q)."""
+        return meanfield.default_alpha_hat(self.q)
 
     @cached_property
     def hidden_class_table(self) -> tuple[tuple, np.ndarray, np.ndarray]:
@@ -106,7 +110,6 @@ def make_potts_instance(G: SpinSystem, m: int, beta_cross: float, beta_H: float)
         beta_cross=beta_cross,
         beta_H=beta_H,
         beta_K=beta_K,
-        alpha_hat=meanfield.default_alpha_hat(q),
     )
 
 
@@ -138,7 +141,6 @@ def beta_interval(
     alpha_hat: float,
     c1: Optional[float] = None,
     c2: Optional[float] = None,
-    delta: float = DEFAULT_DELTA,
 ) -> tuple[float, float]:
     """Admissible cross-coupling interval [c1*N/m, c2/(N*m^{3/4})]."""
     if c1 is None:
@@ -151,7 +153,7 @@ def beta_interval(
             )
         c1 = 2.0 * math.log(q) / alpha_pp
     if c2 is None:
-        c2 = delta / 2.0
+        c2 = DEFAULT_DELTA / 2.0
     return c1 * N / m, c2 / (N * m**0.75)
 
 
@@ -170,7 +172,6 @@ def build_potts_instance(
     *,
     c1: Optional[float] = None,
     c2: Optional[float] = None,
-    delta: float = DEFAULT_DELTA,
     enforce_guard: bool = True,
 ) -> PottsInstance:
     """Full construction: pick beta at the interval midpoint, solve beta_H."""
@@ -181,7 +182,7 @@ def build_potts_instance(
     if enforce_guard:
         check_guard(log_Zhat, *guard_bounds(G, r))
     alpha_hat = meanfield.default_alpha_hat(q)
-    lo, hi = beta_interval(N, m, q, alpha_hat, c1, c2, delta)
+    lo, hi = beta_interval(N, m, q, alpha_hat, c1, c2)
     if lo > hi:
         raise InfeasibleParametersError(
             f"empty cross-coupling interval [{lo:.4g}, {hi:.4g}] at N={N}, m={m}; "

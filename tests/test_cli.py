@@ -202,3 +202,11 @@ class TestBlowup:
         args = ["blowup", str(path), "--b", "4", "--d", "3",
                 "--beta-hat", "1.0", "--seed", "3"]
         assert runner.invoke(main, args).output == runner.invoke(main, args).output
+
+    def test_readme_command_on_cubic_graph(self, runner, cubic12_path):
+        # one port per side cannot carry base degree 3, so auto falls back to
+        # the all-port regime at rho = 0.5
+        args = ["blowup", cubic12_path, "--b", "4", "--d", "3", "--beta-hat", "1.0", "--seed", "3"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0
+        assert result.output == runner.invoke(main, args + ["--rho", "0.5"]).output

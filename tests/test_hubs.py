@@ -120,6 +120,28 @@ class TestClosedForms:
         assert zd == pytest.approx(zd_bf, rel=1e-11)
         assert zm0 == pytest.approx(zm0_bf, rel=1e-11)
 
+    @pytest.mark.parametrize("which", ["visible", "hidden"])
+    def test_ferro_unequal_colour_field_sums(self, which):
+        # field spins (0, 0, 1) put 2h on colour 0 and h on colour 1, so the
+        # two monochromatic base weights of Z^{M0} differ
+        G = SpinSystem(q=2, n=3, edges=((0, 1, 0.8), (1, 2, 0.8)),
+                       field=((0, 0, 0.5), (1, 0, 0.5), (2, 1, 0.5)))
+        inst = hubs.build_hub_instance(
+            G, hubs.VARIANT_FERRO, 0.9, 2, 0.0, beta1=1.1, beta2=0.7, n_uv=1, n_ss=2,
+            enforce_guard=False, strict_family=False,
+        )
+        model = inst.model(which)
+        assert model.n == 15
+        s1, s2, N = inst.s1, inst.s2, inst.N
+        zd_bf, zm0_bf = restricted_partition_multi(model, [
+            lambda spins: spins[:, s1] != spins[:, s2],
+            lambda spins: (spins[:, s1] == spins[:, s2])
+            & np.all(spins[:, :N] == spins[:, [s1]], axis=1),
+        ])
+        zd, zm0 = hubs.closed_form_phase(inst, which)
+        assert zd == pytest.approx(zd_bf, rel=1e-11)
+        assert zm0 == pytest.approx(zm0_bf, rel=1e-11)
+
     def test_hidden_ratio_identity_antiferro(self):
         # Z*^D / Z*^{M0} = (g(beta2)/cosh beta1)^{n_ss} * 2^N
         inst = small_instance(hubs.VARIANT_ANTIFERRO)

@@ -5,7 +5,7 @@ import pytest
 
 from spinlab import meanfield as mf
 from spinlab.exact import partition_log, restricted_partition_log
-from spinlab.errors import TargetUnreachableError
+from spinlab.errors import BudgetExceededError, TargetUnreachableError
 
 
 class TestCriticalPoint:
@@ -72,6 +72,13 @@ class TestSignatures:
         from scipy.special import logsumexp
 
         assert logsumexp(lws) == pytest.approx(7 * math.log(3))
+
+    def test_budget_error_reports_the_signature_count(self):
+        # C(10003, 3) ~ 2^37.3 signatures against a cap of log2(5e6) ~ 22.25 bits
+        with pytest.raises(BudgetExceededError) as info:
+            mf.enumerate_signatures(10**4, 4)
+        assert (info.value.n, info.value.q) == (10**4, 4)
+        assert "37.3 bits > cap 22.25" in str(info.value)
 
 
 def _reference_split(m, q, beta, alpha_hat, window_exponent):
@@ -194,6 +201,13 @@ class TestPhaseSplit:
             assert split.log_ZS == -math.inf
         split90 = mf.phase_split(90, 3, mf.find_critical_Bo(3).Bo / 90)
         assert split90.log_ZS > -math.inf
+
+    def test_residual_threshold_is_m81(self):
+        # at q = 3 and beta_H = Bo/m the residual phase is empty up to m = 80
+        # and first nonempty at m = 81
+        bo = mf.find_critical_Bo(3).Bo
+        assert mf.phase_split(80, 3, bo / 80).log_ZS == -math.inf
+        assert math.isfinite(mf.phase_split(81, 3, bo / 81).log_ZS)
 
     def test_gap_is_strongly_negative_when_defined(self):
         # the residual phase is exponentially dominated: gap <= -0.7 sqrt(m)
