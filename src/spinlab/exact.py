@@ -26,7 +26,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 from scipy.special import logsumexp
 
-from .errors import BudgetExceededError, InvalidModelError
+from .errors import BudgetExceededError, InvalidConfigurationError, InvalidModelError
 from .model import Configuration, SpinSystem
 
 DEFAULT_BUDGET_BITS = 26
@@ -36,6 +36,8 @@ _log = logging.getLogger("spinlab.exact")
 
 
 def check_budget(model: SpinSystem, budget_bits: float = DEFAULT_BUDGET_BITS) -> None:
+    if math.isnan(budget_bits):
+        raise InvalidConfigurationError("budget_bits must be a number, got nan")
     if model.log2_states() > budget_bits + 1e-9:
         raise BudgetExceededError(model.n, model.q, budget_bits)
 
@@ -231,20 +233,12 @@ def partition_log(model: SpinSystem, budget_bits: float = DEFAULT_BUDGET_BITS) -
 
 
 def restricted_partition_log(
-    model: SpinSystem, predicate: Callable, *, vectorized: bool = False
+    model: SpinSystem, predicate: Callable[[np.ndarray], np.ndarray]
 ) -> float:
-    """log of the weight sum over configurations satisfying ``predicate``.
-
-    With ``vectorized=True`` the predicate receives a (block, n) spins matrix
-    and must return a boolean mask; otherwise it is called per configuration
-    with a Configuration instance.  Returns -inf when no state qualifies.
+    """log of the weight sum over configurations satisfying ``predicate``,
+    which receives a (block, n) spins matrix and returns a boolean mask.
+    Returns -inf when no state qualifies.
     """
-    if not vectorized:
-        scalar = predicate
-
-        def predicate(spins: np.ndarray) -> list[bool]:
-            return [bool(scalar(Configuration(tuple(row)))) for row in spins.tolist()]
-
     return restricted_partition_multi(model, [predicate])[0]
 
 

@@ -21,23 +21,19 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import (
     InfeasibleParametersError,
     InvalidConfigurationError,
     InvalidModelError,
 )
-from .exact import block_log_weights, partition_log, restricted_partition_multi
+from .exact import block_log_weights, partition_log
 from .model import (
     Configuration,
     SpinSystem,
     classify_field,
     FIELD_UNRESTRICTED,
 )
-
-REGIME_LOW = "low-degree"
-REGIME_HIGH = "high-degree"
 
 
 def theta(rho: float) -> float:
@@ -60,7 +56,6 @@ class GadgetParams:
     p: int
     d_in: int
     d_out: int
-    regime: str
 
     def __post_init__(self) -> None:
         if min(self.b, self.p, self.d_in) < 1 or self.d_out < 0:
@@ -69,8 +64,6 @@ class GadgetParams:
             raise InvalidConfigurationError(f"d = {self.d} exceeds b = {self.b}")
         if self.p > self.b:
             raise InvalidConfigurationError(f"p = {self.p} exceeds b = {self.b}")
-        if self.regime not in (REGIME_LOW, REGIME_HIGH):
-            raise InvalidConfigurationError(f"unknown regime {self.regime!r}")
 
     @property
     def d(self) -> int:
@@ -87,7 +80,6 @@ class GadgetParams:
             p=int(math.floor(b**alpha)),
             d_in=d - 1,
             d_out=1,
-            regime=REGIME_LOW,
         )
 
     @classmethod
@@ -98,7 +90,6 @@ class GadgetParams:
             p=b,
             d_in=d_in,
             d_out=d - d_in,
-            regime=REGIME_HIGH,
         )
 
     @classmethod
@@ -108,6 +99,7 @@ class GadgetParams:
         the port-subset construction when a proper port subset fits and its
         ⌊b^α⌋ ports carry G's port demand, otherwise the all-port split at
         ρ = 0.5."""
+        _check_beta_hat(beta_hat)
         if d < b and math.floor(b**alpha) < b:
             low = cls.low_degree(b, d, alpha)
             if math.prod(_port_demand(G, beta_hat, low.d_out)) <= low.p:
@@ -183,6 +175,11 @@ def _cross_pattern(ell: int, d_out: int) -> list[tuple[int, int]]:
     return pairs
 
 
+def _check_beta_hat(beta_hat: float) -> None:
+    if not (math.isfinite(beta_hat) and beta_hat > 0):
+        raise InvalidConfigurationError(f"beta_hat must be finite and positive, got {beta_hat}")
+
+
 def _cross_edges(beta: float, beta_hat: float) -> int:
     """ℓ(e) = ⌈|β_G(e)|/β̂⌉, the cross edges per side-pair of a base edge."""
     return int(math.ceil(abs(beta) / beta_hat))
@@ -234,8 +231,7 @@ def build_blowup(
     rng: np.random.Generator,
 ) -> BlowupInstance:
     """Blow up G through one sampled gadget replicated at every vertex."""
-    if beta_hat <= 0:
-        raise InvalidConfigurationError("beta_hat must be positive")
+    _check_beta_hat(beta_hat)
     if classify_field(G) == FIELD_UNRESTRICTED:
         raise InvalidModelError(
             "blow-up requires an h-vertex-monochromatic field on the base model"
@@ -331,44 +327,35 @@ def lift_sample(inst: BlowupInstance, sigma_G) -> Configuration:
 
 
 def omega_good_log_mass(inst: BlowupInstance) -> float:
-    """log μ(Ω_good) by exact enumeration (tiny composites only).
+    """log μ(Ω_good), the log-probability that every gadget block is
+    monochromatic.
 
-    The good part and its complement come from one enumeration pass, so the
-    result is a log-probability (≤ 0) by construction.
+    Ω_good holds one configuration per base configuration, its lift, whose
+    weight is the base weight times e^inner for the summed weight ``inner``
+    of the within-block edges (the cross edges of a base edge sum to β_G(e)
+    and the scaled fields of a vertex to h).  So log μ(Ω_good) =
+    inner + log Z_G − log Z, clamped to ≤ 0 against rounding.
     """
     two_b = 2 * inst.b
-    n_base = inst.base.n
-
-    def good(spins: np.ndarray) -> np.ndarray:
-        ok = np.ones(len(spins), dtype=bool)
-        for v in range(n_base):
-            block = spins[:, v * two_b : (v + 1) * two_b]
-            ok &= np.all(block == block[:, [0]], axis=1)
-        return ok
-
-    log_good, log_bad = restricted_partition_multi(
-        inst.model, [good, lambda spins: ~good(spins)]
-    )
-    return log_good - float(logsumexp([log_good, log_bad]))
+    inner = sum(beta for u, v, beta in inst.model.edges if u // two_b == v // two_b)
+    return min(inner + partition_log(inst.base) - partition_log(inst.model), 0.0)
 
 
-def gadget_in_context(
-    gadget: Gadget, q: int, beta_B: float, tau, *, boundary_weight: Optional[float] = None
-) -> SpinSystem:
+def gadget_in_context(gadget: Gadget, q: int, beta_B: float, tau) -> SpinSystem:
     """The gadget model with boundary spins τ folded into per-port fields
     (its only fields).
 
     Each port is joined to ``d_out`` boundary vertices; conditioning on a
     boundary assignment τ (one spin per port-boundary slot, ports in sorted
     order, L side first) is equivalent to adding the cut-edge weight as a
-    field on the port's matching spin.  The default boundary weight is
-    beta_B/2, the largest magnitude a blow-up cross edge can carry (a cross
-    edge has weight β_G(e)/(2ℓ(e)) with ℓ(e) ≥ |β_G(e)|/β̂ and β_B = β̂).
+    field on the port's matching spin.  The boundary weight is beta_B/2, the
+    largest magnitude a blow-up cross edge can carry (a cross edge has weight
+    β_G(e)/(2ℓ(e)) with ℓ(e) ≥ |β_G(e)|/β̂ and β_B = β̂).
     """
+    if beta_B < 0:
+        raise InvalidConfigurationError(f"beta_B must be nonnegative, got {beta_B}")
     params = gadget.params
-    w = 0.5 * beta_B if boundary_weight is None else boundary_weight
-    if abs(w) > beta_B + 1e-12:
-        raise InvalidConfigurationError("boundary weight magnitude exceeds beta_B")
+    w = 0.5 * beta_B
     ports = list(gadget.ports_L) + list(gadget.ports_R)
     expected = len(ports) * params.d_out
     tau = tuple(int(t) for t in tau)

@@ -232,41 +232,21 @@ def _solve_beta2(
 
 
 def solve_beta2_antiferro(
-    beta1: float,
-    N: int,
-    log_Zhat: float,
-    epsilon: float,
-    L: int,
-    *,
-    log_Zmono: Optional[float] = None,
-    n_ss: Optional[int] = None,
+    beta1: float, n_ss: int, log_Zhat: float, log_Zmono: float, epsilon: float, L: int
 ) -> float:
     """Solve (g(beta2)/cosh(beta1))^{n_ss} into the window
     [1/2, 1] / sqrt(eps L + 1) * exp(log_Zmono) / Zhat; beta2 in (0, beta1+2).
     """
-    if n_ss is None:
-        n_ss = N * N
-    if log_Zmono is None:
-        log_Zmono = -0.9 * N
     log_hi = -0.5 * math.log(epsilon * L + 1) + log_Zmono - log_Zhat
     return _solve_beta2(_log_g, "log g", beta1 + 2.0, beta1, n_ss, log_hi - math.log(2.0), log_hi)
 
 
 def solve_beta2_ferro(
-    beta1: float,
-    N: int,
-    log_Zhat: float,
-    log_Zmono: float,
-    epsilon: float,
-    L: int,
-    *,
-    n_ss: Optional[int] = None,
+    beta1: float, n_ss: int, log_Zhat: float, log_Zmono: float, epsilon: float, L: int
 ) -> float:
     """Solve (cosh(beta2)/cosh(beta1))^{n_ss} into the window
     [1/3, 1/2] / sqrt(eps L + 1) * Zmono / Zhat; beta2 in (0, beta1).
     """
-    if n_ss is None:
-        n_ss = N * N
     log_hi = -math.log(2.0) - 0.5 * math.log(epsilon * L + 1) + log_Zmono - log_Zhat
     return _solve_beta2(_log_cosh, "log cosh", beta1, beta1, n_ss, log_hi - math.log(1.5), log_hi)
 
@@ -359,14 +339,8 @@ def build_hub_instance(
     if beta1 is None:
         beta1 = 3.0 if variant == VARIANT_ANTIFERRO else 0.5 * (beta_G + h_hat + 5.0)
     if beta2 is None:
-        if variant == VARIANT_ANTIFERRO:
-            beta2 = solve_beta2_antiferro(
-                beta1, N, log_Zhat, epsilon, L, log_Zmono=log_Zmono, n_ss=n_ss
-            )
-        else:
-            beta2 = solve_beta2_ferro(
-                beta1, N, log_Zhat, log_Zmono, epsilon, L, n_ss=n_ss
-            )
+        solve = solve_beta2_antiferro if variant == VARIANT_ANTIFERRO else solve_beta2_ferro
+        beta2 = solve(beta1, n_ss, log_Zhat, log_Zmono, epsilon, L)
     if variant == VARIANT_ANTIFERRO:
         h, beta_K = 0.0, 0.0
         hidden_edges: tuple = ()

@@ -331,12 +331,11 @@ def solve_beta_H(
     target_R: float,
     delta: float,
     alpha_hat: Optional[float] = None,
-    c_prime_cap: float = 64.0,
 ) -> float:
     """Find beta_H with (1-delta)*R <= Z^M/Z^D <= R by bisection on g.
 
     The bracket is Bo/m +- c' * m^{-3/2} with c' doubled adaptively from 1
-    up to ``c_prime_cap``.
+    up to 64.
     """
     if target_R <= 0 or not 0 < delta < 1:
         raise InvalidModelError("need target_R > 0 and delta in (0,1)")
@@ -357,13 +356,13 @@ def solve_beta_H(
         g_hi = log_ratio_g(m, q, hi, alpha_hat)
         if g_lo <= t_mid <= g_hi:
             break
-        if c_prime >= c_prime_cap:
+        if c_prime >= 64.0:
             raise TargetUnreachableError(
                 f"target ratio {target_R} unreachable within bracket cap; "
                 f"achievable log-ratio range [{g_lo:.6g}, {g_hi:.6g}]",
                 achieved_range=(g_lo, g_hi),
             )
-        c_prime = min(2 * c_prime, c_prime_cap)
+        c_prime *= 2
 
     for _ in range(200):
         mid = 0.5 * (lo + hi)

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 from scipy.special import logsumexp
@@ -139,21 +138,18 @@ def beta_interval(
     m: int,
     q: int,
     alpha_hat: float,
-    c1: Optional[float] = None,
-    c2: Optional[float] = None,
 ) -> tuple[float, float]:
-    """Admissible cross-coupling interval [c1*N/m, c2/(N*m^{3/4})]."""
-    if c1 is None:
-        alpha_p = alpha_hat - (1.0 - alpha_hat) / (q - 1)
-        alpha_pp = alpha_p - 2.0 * m**-0.25
-        if alpha_pp <= 0:
-            raise InfeasibleParametersError(
-                f"m={m} too small: majority-minority margin {alpha_p:.4f} is "
-                f"swallowed by the window slack 2*m^(-1/4)"
-            )
-        c1 = 2.0 * math.log(q) / alpha_pp
-    if c2 is None:
-        c2 = DEFAULT_DELTA / 2.0
+    """Admissible cross-coupling interval [c1*N/m, c2/(N*m^{3/4})] with
+    c1 = 2 log q / α'' and c2 = δ/2."""
+    alpha_p = alpha_hat - (1.0 - alpha_hat) / (q - 1)
+    alpha_pp = alpha_p - 2.0 * m**-0.25
+    if alpha_pp <= 0:
+        raise InfeasibleParametersError(
+            f"m={m} too small: majority-minority margin {alpha_p:.4f} is "
+            f"swallowed by the window slack 2*m^(-1/4)"
+        )
+    c1 = 2.0 * math.log(q) / alpha_pp
+    c2 = DEFAULT_DELTA / 2.0
     return c1 * N / m, c2 / (N * m**0.75)
 
 
@@ -170,8 +166,6 @@ def build_potts_instance(
     L: int,
     log_Zhat: float,
     *,
-    c1: Optional[float] = None,
-    c2: Optional[float] = None,
     enforce_guard: bool = True,
 ) -> PottsInstance:
     """Full construction: pick beta at the interval midpoint, solve beta_H."""
@@ -182,7 +176,7 @@ def build_potts_instance(
     if enforce_guard:
         check_guard(log_Zhat, *guard_bounds(G, r))
     alpha_hat = meanfield.default_alpha_hat(q)
-    lo, hi = beta_interval(N, m, q, alpha_hat, c1, c2)
+    lo, hi = beta_interval(N, m, q, alpha_hat)
     if lo > hi:
         raise InfeasibleParametersError(
             f"empty cross-coupling interval [{lo:.4g}, {hi:.4g}] at N={N}, m={m}; "

@@ -60,6 +60,15 @@ class TestExact:
         result = runner.invoke(main, ["exact", str(path)])
         assert result.exit_code == 4
 
+    def test_nan_budget_is_an_error(self, runner, tmp_path):
+        # a nan budget would compare false and switch the budget off
+        path = tmp_path / "big.json"
+        save_model(SpinSystem(q=2, n=30, edges=(), field=()), str(path))
+        result = runner.invoke(main, ["exact", str(path), "--budget-bits", "nan"])
+        assert result.exit_code == 1
+        assert "Error:" in result.output
+        assert isinstance(result.exception, SystemExit)
+
     def test_out_file(self, runner, k3_path, tmp_path):
         out = tmp_path / "report.json"
         result = runner.invoke(main, ["exact", k3_path, "--out", str(out)])
@@ -210,3 +219,11 @@ class TestBlowup:
         result = runner.invoke(main, args)
         assert result.exit_code == 0
         assert result.output == runner.invoke(main, args + ["--rho", "0.5"]).output
+
+    @pytest.mark.parametrize("beta_hat", ["0", "inf", "nan"])
+    def test_bad_beta_hat_is_an_error(self, runner, cubic12_path, beta_hat):
+        args = ["blowup", cubic12_path, "--b", "4", "--d", "3", "--beta-hat", beta_hat, "--seed", "3"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert "Error:" in result.output
+        assert isinstance(result.exception, SystemExit)

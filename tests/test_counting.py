@@ -352,7 +352,7 @@ class TestReductionContract:
             if case == "potts":
                 G = SpinSystem(q=3, n=4, edges=tuple((u, v, 0.5) for u, v in cycle))
                 potts.build_potts_instance(
-                    G, 30, 0.9, 2, log_Zhat, c1=0.01, c2=1.0, enforce_guard=False
+                    G, 30, 0.9, 2, log_Zhat, enforce_guard=False
                 )
             elif case == "antiferro":
                 G = SpinSystem(q=2, n=4, edges=tuple((u, v, -0.6) for u, v in cycle))

@@ -11,7 +11,7 @@ from scipy.special import logsumexp
 
 from naive_oracle import naive_log_Z, naive_probs, naive_restricted_log, naive_tv, random_model
 from spinlab import exact
-from spinlab.errors import BudgetExceededError, InvalidModelError
+from spinlab.errors import BudgetExceededError, InvalidConfigurationError, InvalidModelError
 from spinlab.exact import (
     ClassLayout,
     CollapsedSpace,
@@ -69,6 +69,10 @@ class TestPartitionLog:
         with pytest.raises(BudgetExceededError):
             partition_log(make(2, 30, ()))
 
+    def test_nan_budget_rejected(self):
+        with pytest.raises(InvalidConfigurationError):
+            partition_log(make(2, 30, ()), float("nan"))
+
 
 class TestElimination:
     @pytest.mark.parametrize("seed", range(3))
@@ -120,20 +124,12 @@ class TestRestricted:
         m = make(2, 3, ())
         assert restricted_partition_log(m, lambda s: False) == -math.inf
 
-    def test_vectorized_agrees_with_scalar(self):
-        m = make(3, 4, ((0, 1, 1.0), (2, 3, -0.4)))
-        scalar = restricted_partition_log(m, lambda c: c.spins[0] == 0)
-        vec = restricted_partition_log(m, lambda s: s[:, 0] == 0, vectorized=True)
-        naive = naive_restricted_log(3, 4, m.edges, (), lambda s: s[0] == 0)
-        assert scalar == pytest.approx(vec)
-        assert scalar == pytest.approx(naive, rel=1e-11)
-
     def test_multi_pass_matches_single(self):
         m = make(2, 6, ((0, 1, 0.7), (1, 2, 0.7), (4, 5, -0.3)))
         preds = [lambda s: s[:, 0] == 0, lambda s: s[:, 0] == s[:, 5]]
         multi = restricted_partition_multi(m, preds)
         singles = [
-            restricted_partition_log(m, p, vectorized=True) for p in preds
+            restricted_partition_log(m, p) for p in preds
         ]
         assert multi == pytest.approx(singles)
 

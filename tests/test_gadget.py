@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from spinlab import gadget as gd
 from spinlab.errors import (
@@ -9,13 +10,13 @@ from spinlab.errors import (
     InvalidConfigurationError,
     InvalidModelError,
 )
-from spinlab.exact import ExactDistribution, partition_log, tv_exact
+from spinlab.exact import ExactDistribution, partition_log, restricted_partition_multi, tv_exact
 from spinlab.model import Configuration, SpinSystem, log_weight
 
 
 def square_gadget_params():
     # b=2, p=2, d_in=1, d_out=1: deterministic single matching, all ports
-    return gd.GadgetParams(b=2, p=2, d_in=1, d_out=1, regime=gd.REGIME_HIGH)
+    return gd.GadgetParams(b=2, p=2, d_in=1, d_out=1)
 
 
 def tiny_blowup(q=2, beta=1.0, field=((0, 0, 0.4), (1, 0, 0.4)), seed=5):
@@ -39,11 +40,11 @@ class TestParams:
 
     def test_d_exceeding_b_rejected(self):
         with pytest.raises(InvalidConfigurationError):
-            gd.GadgetParams(b=2, p=1, d_in=2, d_out=1, regime=gd.REGIME_LOW)
+            gd.GadgetParams(b=2, p=1, d_in=2, d_out=1)
 
     def test_p_exceeding_b_rejected(self):
         with pytest.raises(InvalidConfigurationError):
-            gd.GadgetParams(b=2, p=3, d_in=1, d_out=0, regime=gd.REGIME_LOW)
+            gd.GadgetParams(b=2, p=3, d_in=1, d_out=0)
 
     def test_alpha_range(self):
         with pytest.raises(InvalidConfigurationError):
@@ -71,7 +72,7 @@ class TestSampleGadget:
             assert all(g.degrees[v] <= params.d_in for v in g.port_set)
 
     def test_pure_matching(self):
-        params = gd.GadgetParams(b=5, p=1, d_in=1, d_out=0, regime=gd.REGIME_LOW)
+        params = gd.GadgetParams(b=5, p=1, d_in=1, d_out=0)
         g = gd.sample_gadget(params, np.random.default_rng(1))
         assert len(g.edges) == 5
         assert g.degrees.max() == 1
@@ -92,7 +93,7 @@ class TestSampleGadget:
 class TestBuildBlowup:
     def test_ell_arithmetic(self):
         # |beta| = 2.5, beta_hat = 1 -> 3 cross edges per side-pair
-        params = gd.GadgetParams(b=4, p=4, d_in=1, d_out=2, regime=gd.REGIME_HIGH)
+        params = gd.GadgetParams(b=4, p=4, d_in=1, d_out=2)
         G = SpinSystem(q=2, n=2, edges=((0, 1, 2.5),), field=())
         inst = gd.build_blowup(G, params, beta_hat=1.0, rng=np.random.default_rng(0))
         cross = [e for e in inst.model.edges if e[0] // 8 != e[1] // 8]
@@ -100,7 +101,7 @@ class TestBuildBlowup:
         assert all(b == pytest.approx(2.5 / 6.0) for _, _, b in cross)
 
     def test_field_scaling(self):
-        params = gd.GadgetParams(b=5, p=5, d_in=1, d_out=1, regime=gd.REGIME_HIGH)
+        params = gd.GadgetParams(b=5, p=5, d_in=1, d_out=1)
         G = SpinSystem(q=2, n=2, edges=((0, 1, 1.0),), field=((0, 1, 1.0),))
         inst = gd.build_blowup(G, params, beta_hat=1.0, rng=np.random.default_rng(0))
         entries = [(v, s, h) for v, s, h in inst.model.field]
@@ -108,7 +109,7 @@ class TestBuildBlowup:
         assert all(v < 10 and s == 1 and h == pytest.approx(0.1) for v, s, h in entries)
 
     def test_bipartite_even_for_triangle_base(self):
-        params = gd.GadgetParams(b=4, p=4, d_in=1, d_out=2, regime=gd.REGIME_HIGH)
+        params = gd.GadgetParams(b=4, p=4, d_in=1, d_out=2)
         G = SpinSystem(
             q=2, n=3, edges=((0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)), field=()
         )
@@ -119,17 +120,25 @@ class TestBuildBlowup:
             assert (u in left) != (v in left)
 
     def test_degree_bound_and_ferromagnetism(self):
-        params = gd.GadgetParams(b=4, p=4, d_in=1, d_out=2, regime=gd.REGIME_HIGH)
+        params = gd.GadgetParams(b=4, p=4, d_in=1, d_out=2)
         G = SpinSystem(q=2, n=3, edges=((0, 1, 0.9), (1, 2, 0.4)), field=())
         inst = gd.build_blowup(G, params, beta_hat=1.0, rng=np.random.default_rng(2))
         assert inst.model.degrees.max() <= params.d
         assert all(b > 0 for _, _, b in inst.model.edges)
 
     def test_capacity_violation_reported(self):
-        params = gd.GadgetParams(b=2, p=1, d_in=1, d_out=1, regime=gd.REGIME_LOW)
+        params = gd.GadgetParams(b=2, p=1, d_in=1, d_out=1)
         G = SpinSystem(q=2, n=3, edges=((0, 1, 1.0), (0, 2, 1.0)), field=())
         with pytest.raises(InfeasibleParametersError):
             gd.build_blowup(G, params, beta_hat=1.0, rng=np.random.default_rng(0))
+
+    @pytest.mark.parametrize("beta_hat", [0.0, -1.0, math.inf, math.nan])
+    def test_bad_beta_hat_rejected(self, beta_hat):
+        G = SpinSystem(q=2, n=2, edges=((0, 1, 1.0),), field=())
+        with pytest.raises(InvalidConfigurationError):
+            gd.GadgetParams.auto(4, 3, G, beta_hat)
+        with pytest.raises(InvalidConfigurationError):
+            gd.build_blowup(G, square_gadget_params(), beta_hat, np.random.default_rng(0))
 
     def test_unrestricted_field_rejected(self):
         params = square_gadget_params()
@@ -208,7 +217,7 @@ class TestWeightAndConditionalIdentities:
         assert masses[0] < masses[1] < masses[2]
 
     def test_omega_good_mass_is_a_log_probability(self):
-        # good part and complement come from one pass: never above log 1
+        # the identity is clamped against rounding: never above log 1
         instances = [tiny_blowup(), tiny_blowup(q=3, beta=-0.7, seed=8)]
         for beta_hat, seed in ((0.5, 3), (1.0, 3), (2.0, 3), (1.0, 4)):
             for beta in (0.4, 1.0, -0.8):
@@ -219,6 +228,41 @@ class TestWeightAndConditionalIdentities:
                 ))
         for inst in instances:
             assert gd.omega_good_log_mass(inst) <= 0.0
+
+    def test_omega_good_identity_matches_enumeration(self):
+        # the lift identity against the enumerated monochromatic-block sum
+        def enumerated(inst):
+            two_b = 2 * inst.b
+
+            def good(spins):
+                ok = np.ones(len(spins), dtype=bool)
+                for v in range(inst.base.n):
+                    block = spins[:, v * two_b : (v + 1) * two_b]
+                    ok &= np.all(block == block[:, [0]], axis=1)
+                return ok
+
+            log_good, log_bad = restricted_partition_multi(
+                inst.model, [good, lambda spins: ~good(spins)]
+            )
+            return log_good - float(logsumexp([log_good, log_bad]))
+
+        instances = [tiny_blowup(), tiny_blowup(q=3, beta=-0.7, seed=8)]
+        for beta_hat, seed in ((0.5, 3), (1.0, 3), (2.0, 3), (1.0, 4)):
+            for beta in (0.4, 1.0, -0.8):
+                G = SpinSystem(q=2, n=2, edges=((0, 1, beta),), field=())
+                instances.append(gd.build_blowup(
+                    G, square_gadget_params(), beta_hat=beta_hat,
+                    rng=np.random.default_rng(seed),
+                ))
+        G = SpinSystem(q=2, n=2, edges=((0, 1, 1.3),), field=((1, 1, 0.3),))
+        instances.append(gd.build_blowup(  # b=4, n=16
+            G, gd.GadgetParams(b=4, p=4, d_in=1, d_out=2), beta_hat=1.0,
+            rng=np.random.default_rng(6),
+        ))
+        assert instances[-1].model.n == 16
+        for inst in instances:
+            expected = enumerated(inst)
+            assert abs(gd.omega_good_log_mass(inst) - expected) <= 1e-12 * abs(expected)
 
     def test_tv_sandwich(self):
         # |TV(blowup(G), blowup(G*)) - TV(G, G*)| <= 2 delta, delta exact
@@ -241,7 +285,7 @@ class TestWeightAndConditionalIdentities:
 class TestGroundStateMass:
     def test_uniform_case(self):
         g = gd.sample_gadget(gd.GadgetParams.low_degree(4, 3), np.random.default_rng(9))
-        model = gd.gadget_in_context(g, 2, beta_B=0.0, tau=(0, 0), boundary_weight=0.0)
+        model = gd.gadget_in_context(g, 2, beta_B=0.0, tau=(0, 0))
         assert gd.ground_state_mass(model) == pytest.approx(2.0 ** (1 - 8), rel=1e-12)
 
     def test_monotone_in_beta_B(self):
@@ -274,14 +318,14 @@ class TestGroundStateMass:
         for model in models:
             assert abs(gd.ground_state_mass(model) - via_distribution(model)) <= 1e-12
 
+    def test_negative_beta_B_rejected(self):
+        g = gd.sample_gadget(gd.GadgetParams.low_degree(4, 3), np.random.default_rng(9))
+        with pytest.raises(InvalidConfigurationError):
+            gd.gadget_in_context(g, 2, beta_B=-1.0, tau=(0, 0))
+
     def test_tau_validation(self):
         g = gd.sample_gadget(gd.GadgetParams.low_degree(4, 3), np.random.default_rng(9))
         with pytest.raises(InvalidConfigurationError):
             gd.gadget_in_context(g, 2, beta_B=1.0, tau=(0,))
         with pytest.raises(InvalidConfigurationError):
             gd.gadget_in_context(g, 2, beta_B=1.0, tau=(0, 2))
-
-    def test_boundary_weight_capped(self):
-        g = gd.sample_gadget(gd.GadgetParams.low_degree(4, 3), np.random.default_rng(9))
-        with pytest.raises(InvalidConfigurationError):
-            gd.gadget_in_context(g, 2, beta_B=1.0, tau=(0, 0), boundary_weight=2.0)

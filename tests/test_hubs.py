@@ -219,7 +219,7 @@ class TestSolvers:
         N, eps, L = 12, 0.9, 2
         r = _testing_rate(eps, L)
         log_Zhat = N * math.log(2) - math.log(r) - 1.0
-        b2 = hubs.solve_beta2_antiferro(3.0, N, log_Zhat, eps, L)
+        b2 = hubs.solve_beta2_antiferro(3.0, N * N, log_Zhat, -0.9 * N, eps, L)
         assert 0.0 < b2 < 3.0 + 2.0
         val = N * N * (math.log(hubs.g_antiferro(b2)) - math.log(math.cosh(3.0)))
         hi = -0.5 * math.log(eps * L + 1) - 0.9 * N - log_Zhat
@@ -231,7 +231,7 @@ class TestSolvers:
         log_mono = hubs.log_Zmono_of(G)
         beta1 = 0.5 * (0.8 + 0.5 + 5.0)
         log_Zhat = log_mono + 5.0
-        b2 = hubs.solve_beta2_ferro(beta1, N, log_Zhat, log_mono, eps, L)
+        b2 = hubs.solve_beta2_ferro(beta1, N * N, log_Zhat, log_mono, eps, L)
         assert 0.0 < b2 < beta1
         val = N * N * (math.log(math.cosh(b2)) - math.log(math.cosh(beta1)))
         hi = -math.log(2) - 0.5 * math.log(eps * L + 1) + log_mono - log_Zhat
@@ -239,7 +239,7 @@ class TestSolvers:
 
     def test_unreachable_target(self):
         with pytest.raises(TargetUnreachableError):
-            hubs.solve_beta2_antiferro(3.0, 4, -1000.0, 0.9, 2)
+            hubs.solve_beta2_antiferro(3.0, 4 * 4, -1000.0, -0.9 * 4, 0.9, 2)
 
 
 class TestDichotomy:

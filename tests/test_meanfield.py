@@ -190,7 +190,7 @@ class TestPhaseSplit:
                 count=len(counts),
             )
 
-        brute_d = restricted_partition_log(model, in_d, vectorized=True)
+        brute_d = restricted_partition_log(model, in_d)
         assert split.log_ZD == pytest.approx(brute_d, rel=1e-11)
 
     def test_residual_empty_below_threshold(self):
@@ -245,4 +245,4 @@ class TestSolveBetaH:
 
     def test_unreachable_target_raises(self):
         with pytest.raises(TargetUnreachableError):
-            mf.solve_beta_H(10, 3, 1e300, 0.1, c_prime_cap=2.0)
+            mf.solve_beta_H(10, 3, 1e300, 0.1)
