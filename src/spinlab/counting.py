@@ -21,8 +21,8 @@ The reduction contract lives here: the two answers, the rate
   ``(descriptors, log_count, log_weight)``.
 
 From these the base class derives the cached ``collapsed_pair``, the
-vectorised ``class_index``, ``hidden_class_probs`` and
-``sample_hidden_classes``, which the testers and samplers read.
+vectorised ``class_index`` and ``sample_hidden_classes``, which draws from a
+class table built once per instance; the testers and samplers read these.
 """
 
 from __future__ import annotations
@@ -35,9 +35,10 @@ from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.special import logsumexp
 
 from .errors import GuardViolation, InvalidConfigurationError, InvalidModelError
-from .exact import CollapsedSpace, class_probs, tv_collapsed
+from .exact import CollapsedSpace, IndexSampler, tv_collapsed
 from .model import Configuration, SpinSystem, classify_field, disjoint_union, FIELD_ZERO
 
 ANSWER_LOW = "Z<=Zhat/r"
@@ -135,15 +136,19 @@ class ReductionInstance:
         return self.outer_class(spins) * q**N + block
 
     @cached_property
-    def hidden_class_probs(self) -> np.ndarray:
-        """Exact probability of each hidden_class_table class."""
+    def _hidden_class_sampler(self) -> IndexSampler:
+        """Exact draws over the hidden_class_table classes, checked and
+        accumulated once per instance (InvalidModelError for a non-finite
+        table)."""
         _, log_count, log_weight = self.hidden_class_table
-        return class_probs(log_count, log_weight)
+        t = log_count + log_weight
+        return IndexSampler(np.exp(t - logsumexp(t)))
 
     def sample_hidden_classes(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Class indices (into hidden_class_table) of exact hidden-model draws."""
-        p = self.hidden_class_probs
-        return rng.choice(len(p), size=size, p=p)
+        """Class indices (into hidden_class_table) of exact hidden-model draws;
+        the same indices and generator stream as ``rng.choice(len(p), size,
+        p=p)`` over the normalised class masses p."""
+        return self._hidden_class_sampler.draw(rng, size)
 
 
 # -- testers ----------------------------------------------------------------------

@@ -31,6 +31,7 @@ from .model import Configuration, SpinSystem
 
 DEFAULT_BUDGET_BITS = 26
 _BLOCK_BITS = 20  # fixed block size so sums are reproducible
+_P_SUM_ATOL = math.sqrt(np.finfo(np.float64).eps)  # rng.choice's tolerance on sum(p)
 
 _log = logging.getLogger("spinlab.exact")
 
@@ -303,9 +304,32 @@ def sample_exact_indices(
     dist: ExactDistribution, rng: np.random.Generator, size: Optional[int] = None
 ):
     """State-index draws in enumeration order; one index when ``size`` is None."""
-    p = np.exp(dist.log_probs)
-    p /= p.sum()
-    return rng.choice(len(p), size=size, p=p)
+    return IndexSampler(np.exp(dist.log_probs)).draw(rng, size)
+
+
+class IndexSampler:
+    """Draws of indices 0..len(p)-1 with probabilities p = weights / sum(weights),
+    by binary search on the cumulative table (inverse transform, Devroye 1986,
+    §III.2).  Built once, it gives exactly the indices of
+    ``rng.choice(len(p), size, p=p)`` and leaves the generator in the same
+    state, without re-checking and re-summing p on every call.  p gets the
+    checks ``rng.choice`` makes, once: an InvalidModelError unless p is
+    finite, non-negative and sums to 1 within sqrt(machine epsilon)."""
+
+    def __init__(self, weights: np.ndarray) -> None:
+        with np.errstate(invalid="ignore", divide="ignore"):
+            p = weights / weights.sum()
+        if not (np.isfinite(p).all() and (p >= 0).all() and abs(p.sum() - 1.0) <= _P_SUM_ATOL):
+            raise InvalidModelError(
+                f"draw weights must give finite, non-negative probabilities summing to 1; "
+                f"got {len(p)} weights summing to {float(weights.sum())!r}"
+            )
+        self.cdf = p.cumsum()
+        self.cdf /= self.cdf[-1]
+
+    def draw(self, rng: np.random.Generator, size: Optional[int] = None):
+        """One index (size None) or an array of ``size`` indices."""
+        return self.cdf.searchsorted(rng.random(size), side="right")
 
 
 def dump_distribution_csv(dist: ExactDistribution, path: str) -> None:
@@ -350,14 +374,6 @@ class CollapsedSpace:
     def log_class_masses(self) -> np.ndarray:
         t = self.log_count + self.log_weight
         return t - logsumexp(t)
-
-
-def class_probs(log_count: np.ndarray, log_weight: np.ndarray) -> np.ndarray:
-    """Normalised probabilities of classes with the given log counts and
-    per-configuration log-weights, ready for ``rng.choice(p=...)``."""
-    t = log_count + log_weight
-    p = np.exp(t - logsumexp(t))
-    return p / p.sum()
 
 
 def tv_collapsed(space_a: CollapsedSpace, space_b: CollapsedSpace) -> float:

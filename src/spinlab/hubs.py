@@ -38,7 +38,7 @@ from .model import (
     classify_field,
     FIELD_ZERO,
 )
-from .exact import ClassLayout, CollapsedSpace, partition_log, state_table
+from .exact import ClassLayout, CollapsedSpace, IndexSampler, partition_log, state_table
 
 VARIANT_ANTIFERRO = "antiferro"
 VARIANT_FERRO = "ferro-field"
@@ -104,7 +104,7 @@ class HubInstance(ReductionInstance):
         log_count: list[float] = []
         log_weight: list[float] = []
         for c1, c2 in itertools.product((0, 1), repeat=2):
-            wfac = self.n_ss * _w_factor(self, c1, c2)
+            wfac = self._w_log_factors[c1, c2]
             for ks in itertools.product(*(range(n + 1) for n in sizes)):
                 k = sum(ks)
                 agree = (k if c1 == 0 else N - k) + (k if c2 == 0 else N - k)
@@ -121,36 +121,48 @@ class HubInstance(ReductionInstance):
         return tuple(descriptors), np.asarray(log_count), np.asarray(log_weight)
 
     @cached_property
-    def _aux_laws(self) -> tuple[np.ndarray, dict]:
-        """Exact conditionals of the auxiliary vertices, shared by every draw:
-        P(u = 0) indexed by ``2*(base spin) + hub spin``, and per hub spins
-        (c1, c2) either the law of one w-path's four options (antiferro) or
+    def _w_log_factors(self) -> dict[tuple[int, int], float]:
+        """n_ss times the log factor of one w-path (antiferro) or pendant pair
+        (ferro), per hub spins (c1, c2)."""
+        pairs = itertools.product((0, 1), repeat=2)
+        if self.variant == VARIANT_ANTIFERRO:
+            return {(c1, c2): self.n_ss * _w_factor_antiferro(self.beta2, same_hubs=(c1 == c2))
+                    for c1, c2 in pairs}
+        return {(c1, c2): self.n_ss * _w_factor_ferro(self.beta2, self.h, c1, c2) for c1, c2 in pairs}
+
+    @cached_property
+    def _draw_tables(self) -> dict[tuple[int, int], tuple]:
+        """Exact conditionals of the auxiliary vertices given hub spins (c1, c2),
+        shared by every draw: ``(u_rows, w)`` with ``u_rows[base spin]``
+        P(u = 0) for one base vertex's 2*n_uv u-vertices (ordered by hub,
+        copy), and ``w`` either an IndexSampler
+        over one w-path's four options (antiferro; see ``_W_PATH_SPINS``) or
         P(pendant = 0) for each of the 2*n_ss pendants (ferro)."""
         sign = -1.0 if self.variant == VARIANT_ANTIFERRO else 1.0
-        p0_u = np.empty(4)
+        p0_u = np.empty((2, 2))  # [base spin, hub spin]
         for sv in (0, 1):
             for hub_spin in (0, 1):
                 lw0 = sign * self.beta1 * ((0 == sv) + (0 == hub_spin))
                 lw1 = sign * self.beta1 * ((1 == sv) + (1 == hub_spin))
-                p0_u[2 * sv + hub_spin] = 1.0 / (1.0 + math.exp(lw1 - lw0))
-        w_law = {}
+                p0_u[sv, hub_spin] = 1.0 / (1.0 + math.exp(lw1 - lw0))
+        tables = {}
         for c1, c2 in itertools.product((0, 1), repeat=2):
+            u_rows = np.repeat(p0_u[:, [c1, c2]], self.n_uv, axis=1)
             if self.variant == VARIANT_ANTIFERRO:
                 # options (w1, w2) = divmod(option, 2) of one s1-w1-w2-s2 path
                 lws = np.array(
                     [-self.beta2 * ((a == c1) + (a == b) + (b == c2)) for a in (0, 1) for b in (0, 1)]
                 )
-                probs = np.exp(lws - lws.max())
-                probs /= probs.sum()
-                w_law[c1, c2] = probs
+                w = IndexSampler(np.exp(lws - lws.max()))
             else:
                 p0_w = []
                 for hub_spin, field_spin in ((c1, 0), (c2, 1)):
                     lw0 = self.beta2 * (0 == hub_spin) + (self.h if field_spin == 0 else 0.0)
                     lw1 = self.beta2 * (1 == hub_spin) + (self.h if field_spin == 1 else 0.0)
                     p0_w.append(1.0 / (1.0 + math.exp(lw1 - lw0)))
-                w_law[c1, c2] = np.repeat(p0_w, self.n_ss)
-        return p0_u, w_law
+                w = np.repeat(p0_w, self.n_ss)
+            tables[c1, c2] = (u_rows, w)
+        return tables
 
 
 # -- log helpers for the auxiliary-vertex factors ----------------------------
@@ -182,13 +194,6 @@ def _w_factor_ferro(beta2: float, h: float, c1: int, c2: int) -> float:
         float(np.logaddexp(beta2 + h, 0.0)) if hub == spin else float(np.logaddexp(beta2, h))
         for hub, spin in ((c1, 0), (c2, 1))
     )
-
-
-def _w_factor(inst: HubInstance, c1: int, c2: int) -> float:
-    """Log factor of one w-path (antiferro) or pendant pair (ferro) at hub spins (c1, c2)."""
-    if inst.variant == VARIANT_ANTIFERRO:
-        return _w_factor_antiferro(inst.beta2, same_hubs=(c1 == c2))
-    return _w_factor_ferro(inst.beta2, inst.h, c1, c2)
 
 
 # -- solvers ------------------------------------------------------------------
@@ -431,13 +436,13 @@ def closed_form_phase(inst: HubInstance, which: str) -> tuple[float, float]:
     base = inst.base_block(which)
     same_u, diff_u = _u_factors(inst.variant, inst.beta1, 1)
     log_zd = (
-        float(logsumexp([inst.n_ss * _w_factor(inst, c, 1 - c) for c in (0, 1)]))
+        float(logsumexp([inst._w_log_factors[c, 1 - c] for c in (0, 1)]))
         + inst.N * inst.n_uv * (same_u + diff_u)
         + partition_log(base)
     )
     log_e = sum(b for _, _, b in base.edges)
     log_zm0 = float(logsumexp([
-        inst.n_ss * _w_factor(inst, c, c) + 2 * inst.N * inst.n_uv * same_u
+        inst._w_log_factors[c, c] + 2 * inst.N * inst.n_uv * same_u
         + log_e + base.field_array[:, c].sum()
         for c in (0, 1)
     ]))
@@ -464,11 +469,14 @@ def collapsed_distribution_hub(inst: HubInstance, which: str) -> CollapsedSpace:
         k1 = (spins == c1).sum(axis=1)
         k2 = (spins == c2).sum(axis=1)
         ufac = (k1 + k2) * same_u + (2 * N - k1 - k2) * diff_u
-        parts.append(block_lw + ufac + inst.n_ss * _w_factor(inst, c1, c2))
+        parts.append(block_lw + ufac + inst._w_log_factors[c1, c2])
     return CollapsedSpace(ClassLayout(("hub", N), 4 << N), np.zeros(4 << N), np.concatenate(parts))
 
 
 # -- exact hidden sampler -----------------------------------------------------------
+
+
+_W_PATH_SPINS = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=np.int8)  # (w1, w2) per option
 
 
 def sample_hidden_hub(inst: HubInstance, rng: np.random.Generator) -> Configuration:
@@ -481,19 +489,16 @@ def sample_hidden_hub(inst: HubInstance, rng: np.random.Generator) -> Configurat
     """
     descriptors, _, _ = inst.hidden_class_table
     c1, c2, *ks = descriptors[int(inst.sample_hidden_classes(rng, 1)[0])]
-    N = inst.N
-    block = np.ones(N, dtype=np.int8)
+    block = np.ones(inst.N, dtype=np.int8)
     for group, k in zip(inst.field_groups, ks):
         block[rng.permutation(group)[:k]] = 0
 
+    u_rows, w = inst._draw_tables[c1, c2]
     # u-vertices, ordered by (base vertex, hub, copy)
-    p0_u, w_law = inst._aux_laws
-    pair = 2 * np.repeat(block, 2 * inst.n_uv) + np.tile(np.repeat([c1, c2], inst.n_uv), N)
-    u_spins = rng.random(len(pair)) >= p0_u[pair]
+    u_spins = rng.random(2 * inst.n_uv * inst.N) >= u_rows[block].ravel()
     if inst.variant == VARIANT_ANTIFERRO:
-        opts = rng.choice(4, size=inst.n_ss, p=w_law[c1, c2])
-        w_spins = np.stack([opts >> 1, opts & 1], axis=1).ravel()
+        w_spins = _W_PATH_SPINS[w.draw(rng, inst.n_ss)].ravel()
     else:
-        w_spins = rng.random(2 * inst.n_ss) >= w_law[c1, c2]
+        w_spins = rng.random(2 * inst.n_ss) >= w
     spins = np.concatenate([block, [c1, c2], u_spins, w_spins])
     return Configuration(tuple(spins.tolist()))

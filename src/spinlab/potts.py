@@ -13,6 +13,7 @@ vertices of H (ids N..N+m-1).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -66,7 +67,7 @@ class PottsInstance(ReductionInstance):
         ).ravel()
         rows_h = [tuple(s) for s in th.sigs.tolist()]
         rows_k = [tuple(t) for t in tk.sigs.tolist()]
-        descriptors = tuple((s, t) for s in rows_h for t in rows_k)
+        descriptors = tuple(itertools.product(rows_h, rows_k))
         return descriptors, log_count, log_weight
 
     def collapsed(self, which: str) -> CollapsedSpace:

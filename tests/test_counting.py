@@ -1,15 +1,21 @@
 import hashlib
 import math
+import pickle
 
 import networkx as nx
 import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from naive_oracle import random_model
-from spinlab import counting as ct, hubs, potts
+from naive_oracle import (
+    random_model,
+    reference_class_probs,
+    reference_sample_hidden_hub,
+    reference_sample_hidden_potts,
+)
+from spinlab import counting as ct, hubs, meanfield, potts
 from spinlab.errors import GuardViolation, InvalidConfigurationError, InvalidModelError
-from spinlab.exact import partition_log
+from spinlab.exact import IndexSampler, partition_log
 from spinlab.model import SpinSystem
 from spinlab.potts import ANSWER_HIGH, ANSWER_LOW, testing_rate as _rate
 
@@ -410,3 +416,79 @@ def test_pinned_hidden_draws_and_class_tables(case):
     if case != "potts":
         hidden_log_Z = inst.collapsed_pair[1].log_Z
         assert abs(float(logsumexp(log_count + log_weight)) - hidden_log_Z) <= 1e-12
+
+
+def bench_scale_instance(case):
+    """The instance sizes the benchmark samples from: the canonical antiferro
+    hub (N=6, n_uv=N, n_ss=N^2), a ferro-field hub of the same size with both
+    field groups non-empty, and the q=3, N=4, m=30 Potts instance."""
+    eps, L = 0.9, 200
+    if case == "potts":
+        G = SpinSystem(q=3, n=4, edges=tuple((v, (v + 1) % 4, 0.5) for v in range(4)), field=())
+        beta_H = meanfield.solve_beta_H(30, 3, math.exp(1.0), 0.5)
+        inst = potts.make_potts_instance(G, 30, 0.05, beta_H)
+        return inst, potts.sample_hidden_potts, reference_sample_hidden_potts
+    if case == "antiferro":
+        G, variant = cubic_antiferro(6, 3), hubs.VARIANT_ANTIFERRO
+    else:
+        edges = tuple((v, (v + 1) % 6, 0.8) for v in range(6))
+        G = SpinSystem(q=2, n=6, edges=edges, field=tuple((v, v % 2, 0.5) for v in range(6)))
+        variant = hubs.VARIANT_FERRO
+    log_Zhat = partition_log(G) + math.log(_rate(eps, L)) + 1.0
+    inst = hubs.build_hub_instance(G, variant, eps, L, log_Zhat, enforce_guard=False)
+    assert (inst.n_uv, inst.n_ss) == (6, 36)
+    assert all(len(group) for group in inst.field_groups)
+    return inst, hubs.sample_hidden_hub, reference_sample_hidden_hub
+
+
+BENCH_SCALE_CASES = ("antiferro", "ferro-field", "potts")
+
+
+@pytest.mark.parametrize("case", BENCH_SCALE_CASES)
+def test_hidden_draws_match_per_draw_reference(case):
+    """200 draws equal those of the pre-table sampler (which re-derives the
+    class probabilities and auxiliary laws and calls rng.choice per draw),
+    spin for spin and type for type, and leave the generator in its state."""
+    inst, sampler, reference = bench_scale_instance(case)
+    rng, ref_rng = np.random.default_rng(20261017), np.random.default_rng(20261017)
+    got = [sampler(inst, rng).spins for _ in range(200)]
+    want = [reference(inst, ref_rng) for _ in range(200)]
+    assert pickle.dumps(got) == pickle.dumps(want)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("size", (0, 1, 7))
+@pytest.mark.parametrize("case", BENCH_SCALE_CASES)
+def test_sample_hidden_classes_is_rng_choice(case, size):
+    inst, _, _ = bench_scale_instance(case)
+    p = reference_class_probs(inst)
+    for seed in range(5):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert np.array_equal(inst.sample_hidden_classes(rng, size),
+                              ref_rng.choice(len(p), size=size, p=p))
+        assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_hidden_table_raises_invalid_model():
+    """A class table with nan or inf masses is an InvalidModelError on the
+    first draw, not numpy's ValueError or a silently wrong draw."""
+    P = SpinSystem(q=3, n=4, edges=tuple((v, (v + 1) % 4, 0.5) for v in range(4)), field=())
+    inst = potts.make_potts_instance(P, 30, 0.05, 1e306)
+    with pytest.raises(InvalidModelError):
+        potts.sample_hidden_potts(inst, np.random.default_rng(0))
+    cycle = SpinSystem(q=2, n=4, edges=tuple((v, (v + 1) % 4, -0.6) for v in range(4)), field=())
+    # beta1 = 1e308 overflows a u-factor to -inf (a nan class mass);
+    # beta2 = -1e308 overflows the w-factors (and the w-path law) to +inf
+    for beta1, beta2 in ((1e308, 0.7), (1.1, -1e308)):
+        inst = hubs.build_hub_instance(cycle, hubs.VARIANT_ANTIFERRO, 0.9, 2, 0.0, beta1=beta1,
+                                       beta2=beta2, n_uv=2, n_ss=3, enforce_guard=False,
+                                       strict_family=False)
+        with pytest.raises(InvalidModelError):
+            hubs.sample_hidden_hub(inst, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("weights", ([0.5, np.nan], [1.0, np.inf], [2.0, -1.0], [0.0, 0.0], []))
+def test_index_sampler_rejects_what_rng_choice_rejects(weights):
+    with np.errstate(invalid="ignore"), pytest.raises(InvalidModelError):
+        IndexSampler(np.asarray(weights, dtype=float))
