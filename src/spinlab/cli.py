@@ -210,11 +210,10 @@ def cmd_reduce(model_path, variant, log_zhat, epsilon, l_samples, tester, seed,
 @click.option("--d", type=int, required=True)
 @click.option("--rho", type=float, default=None,
               help="Force the all-port regime with this density parameter.")
-@click.option("--alpha", type=float, default=0.25, show_default=True)
 @click.option("--beta-hat", type=float, required=True)
 @click.option("--seed", type=int, required=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
-def cmd_blowup(model_path, b, d, rho, alpha, beta_hat, seed, out) -> None:
+def cmd_blowup(model_path, b, d, rho, beta_hat, seed, out) -> None:
     """Blow a model up through a sampled degree-reducing gadget."""
 
     def body() -> None:
@@ -222,7 +221,7 @@ def cmd_blowup(model_path, b, d, rho, alpha, beta_hat, seed, out) -> None:
         if rho is not None:
             params = gadget_mod.GadgetParams.high_degree(b, d, rho)
         else:
-            params = gadget_mod.GadgetParams.auto(b, d, G, beta_hat, alpha=alpha)
+            params = gadget_mod.GadgetParams.auto(b, d, G, beta_hat)
         inst = gadget_mod.build_blowup(G, params, beta_hat, named_rng(seed, "blowup"))
         doc = model_to_dict(inst.model)
         doc["gadget_map"] = {

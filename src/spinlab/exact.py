@@ -372,8 +372,13 @@ class CollapsedSpace:
         return float(logsumexp(self.log_count + self.log_weight))
 
     def log_class_masses(self) -> np.ndarray:
+        """Log probability of each class; a nan, infinite or zero total mass
+        is an InvalidModelError, never a nan TV or tester answer."""
         t = self.log_count + self.log_weight
-        return t - logsumexp(t)
+        log_Z = float(logsumexp(t))
+        if not math.isfinite(log_Z):
+            raise InvalidModelError(f"collapsed space has non-finite log Z = {log_Z!r}")
+        return t - log_Z
 
 
 def tv_collapsed(space_a: CollapsedSpace, space_b: CollapsedSpace) -> float:

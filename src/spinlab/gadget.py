@@ -36,6 +36,9 @@ from .model import (
 )
 
 
+PORT_EXPONENT = 0.25  # the low-degree regime marks ⌊b^(1/4)⌋ ports per side
+
+
 def theta(rho: float) -> float:
     """θ(ρ) = (300 + 0.75ρ) / (300 + ρ), the inner-matching fraction."""
     if not 0.0 < rho <= 1.0:
@@ -70,14 +73,14 @@ class GadgetParams:
         return self.d_in + self.d_out
 
     @classmethod
-    def low_degree(cls, b: int, d: int, alpha: float = 0.25) -> "GadgetParams":
-        if not 0.0 < alpha <= 0.25:
-            raise InvalidConfigurationError("alpha must lie in (0, 1/4]")
+    def low_degree(cls, b: int, d: int) -> "GadgetParams":
+        """⌊b^PORT_EXPONENT⌋ ports on each side, d-1 inner matchings and one
+        outer matching."""
         if d < 2:
             raise InvalidConfigurationError("low-degree regime needs d >= 2")
         return cls(
             b=b,
-            p=int(math.floor(b**alpha)),
+            p=int(math.floor(b**PORT_EXPONENT)),
             d_in=d - 1,
             d_out=1,
         )
@@ -93,15 +96,14 @@ class GadgetParams:
         )
 
     @classmethod
-    def auto(cls, b: int, d: int, G: SpinSystem, beta_hat: float, *,
-             alpha: float = 0.25) -> "GadgetParams":
+    def auto(cls, b: int, d: int, G: SpinSystem, beta_hat: float) -> "GadgetParams":
         """Pick the regime for blowing up ``G`` with cross weight ``beta_hat``:
         the port-subset construction when a proper port subset fits and its
-        ⌊b^α⌋ ports carry G's port demand, otherwise the all-port split at
-        ρ = 0.5."""
+        ⌊b^PORT_EXPONENT⌋ ports carry G's port demand, otherwise the all-port
+        split at ρ = 0.5."""
         _check_beta_hat(beta_hat)
-        if d < b and math.floor(b**alpha) < b:
-            low = cls.low_degree(b, d, alpha)
+        if d < b and math.floor(b**PORT_EXPONENT) < b:
+            low = cls.low_degree(b, d)
             if math.prod(_port_demand(G, beta_hat, low.d_out)) <= low.p:
                 return low
         return cls.high_degree(b, d, 0.5)

@@ -20,10 +20,10 @@ step costs a few array operations and two logsumexps.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -32,7 +32,7 @@ from scipy.special import gammaln, logsumexp
 from .errors import BudgetExceededError, InvalidModelError, TargetUnreachableError
 
 PHASE_M, PHASE_D, PHASE_S = 0, 1, 2
-DEFAULT_WINDOW_EXPONENT = 0.75
+WINDOW_EXPONENT = 0.75  # every phase window has half-width m^(3/4)
 SIGNATURE_BUDGET = 5_000_000
 
 
@@ -115,32 +115,29 @@ def find_critical_Bo(q: int) -> CriticalPoint:
     return CriticalPoint(Bo=bo, alpha_hat=_majority_argmax(bo, q)[0])
 
 
-def default_alpha_hat(q: int) -> float:
-    return find_critical_Bo(q).alpha_hat
-
-
 # -- signature enumeration ---------------------------------------------------
 
 
 @lru_cache(maxsize=64)
 def enumerate_signatures(m: int, q: int) -> np.ndarray:
-    """All color-count vectors (s_1..s_q) summing to m, lexicographic order."""
+    """All color-count vectors (s_1..s_q) summing to m, lexicographic order.
+
+    Stars and bars: the q-1 bar positions among m+q-1 slots, taken in
+    lexicographic order, leave gaps s_1..s_q in lexicographic order too.
+    The bars are held in the smallest signed dtype that fits m+q, so no
+    temporary is larger than the int64 result.
+    """
     count = math.comb(m + q - 1, q - 1)
     if count > SIGNATURE_BUDGET:
         raise BudgetExceededError(m, q, math.log2(SIGNATURE_BUDGET), math.log2(count))
-    if q == 1:
-        return np.asarray([[m]], dtype=np.int64)
-    rows: list[tuple[int, ...]] = []
-
-    def rec(prefix: tuple[int, ...], remaining: int, slots: int) -> None:
-        if slots == 1:
-            rows.append(prefix + (remaining,))
-            return
-        for s in range(remaining + 1):
-            rec(prefix + (s,), remaining - s, slots - 1)
-
-    rec((), m, q)
-    return _read_only(np.asarray(rows, dtype=np.int64))
+    small = np.min_scalar_type(-(m + q))
+    bars = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(m + q - 1), q - 1)),
+        dtype=small,
+        count=count * (q - 1),
+    ).reshape(count, q - 1)
+    gaps = np.diff(bars, axis=1, prepend=small.type(-1), append=small.type(m + q - 1))
+    return _read_only((gaps - 1).astype(np.int64))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -179,20 +176,18 @@ def signature_log_weights(m: int, q: int, beta_H: float) -> tuple[np.ndarray, np
     return table.sigs, table.log_multi + float(beta_H) * table.mono_edges
 
 
-def classify_signatures(
-    sigs: np.ndarray,
-    m: int,
-    q: int,
-    alpha_hat: float,
-    window_exponent: float = DEFAULT_WINDOW_EXPONENT,
-) -> tuple[np.ndarray, np.ndarray]:
+def classify_signatures(sigs: np.ndarray, m: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     """Phase label (M/D/S) per signature plus fractional branch weights.
 
-    Returns ``(labels, branch_frac)`` where ``branch_frac`` has shape
-    (n_sigs, q); for an M signature the row is a probability vector over
-    majority branches (ties split evenly), else all zero.
+    The majority centers put the coexistence fraction alpha_hat of
+    :func:`find_critical_Bo` on one color; every window has half-width
+    m^WINDOW_EXPONENT.  Returns ``(labels, branch_frac)`` where
+    ``branch_frac`` has shape (n_sigs, q); for an M signature the row is a
+    probability vector over majority branches (ties split evenly), else all
+    zero.
     """
-    w = float(m) ** window_exponent
+    alpha_hat = find_critical_Bo(q).alpha_hat
+    w = float(m) ** WINDOW_EXPONENT
     minority = (1.0 - alpha_hat) * m / (q - 1)
     centers_m = np.full((q, q), minority)
     np.fill_diagonal(centers_m, alpha_hat * m)
@@ -225,7 +220,6 @@ def classify_signatures(
 
 @dataclass(frozen=True)
 class PhaseSplit:
-    alpha_hat: float
     log_ZM: float
     log_ZD: float
     log_ZS: float
@@ -247,22 +241,20 @@ class PhaseClasses:
     ``members[label]`` holds the signature indices of phase ``label`` in
     increasing order; ``branches[j]`` is ``(indices, log_frac)`` for majority
     branch ``j``, where ``log_frac`` is the log of each signature's branch
-    fraction, or None when every fraction is 1.
+    fraction (0 where the signature belongs to branch ``j`` alone).
     """
 
     labels: np.ndarray
     members: tuple[np.ndarray, np.ndarray, np.ndarray]
-    branches: tuple[tuple[np.ndarray, Optional[np.ndarray]], ...]
+    branches: tuple[tuple[np.ndarray, np.ndarray], ...]
 
 
 @lru_cache(maxsize=64)
-def phase_classes(m: int, q: int, alpha_hat: float, window_exponent: float) -> PhaseClasses:
+def phase_classes(m: int, q: int) -> PhaseClasses:
     """Cached :func:`classify_signatures` result in compact form (int8 labels,
-    int32 indices, read-only arrays); none of it depends on beta_H.  Pass all
-    four arguments positionally so equal keys share one cache entry."""
-    labels, branch_frac = classify_signatures(
-        enumerate_signatures(m, q), m, q, alpha_hat, window_exponent
-    )
+    int32 indices, read-only arrays); none of it depends on beta_H.  Pass both
+    arguments positionally so equal keys share one cache entry."""
+    labels, branch_frac = classify_signatures(enumerate_signatures(m, q), m, q)
     members = tuple(
         _read_only(np.flatnonzero(labels == lab).astype(np.int32))
         for lab in (PHASE_M, PHASE_D, PHASE_S)
@@ -270,8 +262,7 @@ def phase_classes(m: int, q: int, alpha_hat: float, window_exponent: float) -> P
     branches = []
     for j in range(q):
         idx = np.flatnonzero(branch_frac[:, j] > 0)
-        frac = branch_frac[idx, j]
-        log_frac = None if np.all(frac == 1.0) else _read_only(np.log(frac))
+        log_frac = _read_only(np.log(branch_frac[idx, j]))
         branches.append((_read_only(idx.astype(np.int32)), log_frac))
     return PhaseClasses(_read_only(labels), members, tuple(branches))
 
@@ -280,44 +271,29 @@ def _log_sum(log_terms: np.ndarray) -> float:
     return float(logsumexp(log_terms)) if len(log_terms) else float("-inf")
 
 
-def phase_split(
-    m: int,
-    q: int,
-    beta_H: float,
-    alpha_hat: Optional[float] = None,
-    window_exponent: float = DEFAULT_WINDOW_EXPONENT,
-) -> PhaseSplit:
+def phase_split(m: int, q: int, beta_H: float) -> PhaseSplit:
     """Exact log partition values of the M/D/S phases of the complete graph K_m."""
     if m < 1:
         raise InvalidModelError("m must be >= 1")
-    if alpha_hat is None:
-        alpha_hat = default_alpha_hat(q)
     _, logw = signature_log_weights(m, q, beta_H)
-    classes = phase_classes(m, q, alpha_hat, window_exponent)
+    classes = phase_classes(m, q)
     log_ZM, log_ZD, log_ZS = (_log_sum(logw[idx]) for idx in classes.members)
-    branches = []
-    for idx, log_frac in classes.branches:
-        terms = logw[idx]
-        branches.append(_log_sum(terms if log_frac is None else terms + log_frac))
     return PhaseSplit(
-        alpha_hat=alpha_hat,
         log_ZM=log_ZM,
         log_ZD=log_ZD,
         log_ZS=log_ZS,
-        log_branches=tuple(branches),
+        log_branches=tuple(
+            _log_sum(logw[idx] + log_frac) for idx, log_frac in classes.branches
+        ),
     )
 
 
-def log_ratio_g(
-    m: int, q: int, beta_H: float, alpha_hat: Optional[float] = None
-) -> float:
+def log_ratio_g(m: int, q: int, beta_H: float) -> float:
     """g(beta_H) = log Z^M - log Z^D."""
     if m < 1:
         raise InvalidModelError("m must be >= 1")
-    if alpha_hat is None:
-        alpha_hat = default_alpha_hat(q)
     table = signature_table(m, q)
-    members = phase_classes(m, q, alpha_hat, DEFAULT_WINDOW_EXPONENT).members
+    members = phase_classes(m, q).members
     log_ZM, log_ZD = (
         _log_sum(table.log_multi[idx] + float(beta_H) * table.mono_edges[idx])
         for idx in (members[PHASE_M], members[PHASE_D])
@@ -325,13 +301,7 @@ def log_ratio_g(
     return log_ZM - log_ZD
 
 
-def solve_beta_H(
-    m: int,
-    q: int,
-    target_R: float,
-    delta: float,
-    alpha_hat: Optional[float] = None,
-) -> float:
+def solve_beta_H(m: int, q: int, target_R: float, delta: float) -> float:
     """Find beta_H with (1-delta)*R <= Z^M/Z^D <= R by bisection on g.
 
     The bracket is Bo/m +- c' * m^{-3/2} with c' doubled adaptively from 1
@@ -339,10 +309,7 @@ def solve_beta_H(
     """
     if target_R <= 0 or not 0 < delta < 1:
         raise InvalidModelError("need target_R > 0 and delta in (0,1)")
-    crit = find_critical_Bo(q)
-    if alpha_hat is None:
-        alpha_hat = crit.alpha_hat
-    center = crit.Bo / m
+    center = find_critical_Bo(q).Bo / m
     t_hi = math.log(target_R)
     t_lo = t_hi + math.log1p(-delta)
     t_mid = 0.5 * (t_lo + t_hi)
@@ -352,8 +319,8 @@ def solve_beta_H(
         half = c_prime * m**-1.5
         lo = max(center - half, 1e-12)
         hi = center + half
-        g_lo = log_ratio_g(m, q, lo, alpha_hat)
-        g_hi = log_ratio_g(m, q, hi, alpha_hat)
+        g_lo = log_ratio_g(m, q, lo)
+        g_hi = log_ratio_g(m, q, hi)
         if g_lo <= t_mid <= g_hi:
             break
         if c_prime >= 64.0:
@@ -366,7 +333,7 @@ def solve_beta_H(
 
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        g_mid = log_ratio_g(m, q, mid, alpha_hat)
+        g_mid = log_ratio_g(m, q, mid)
         if t_lo <= g_mid <= t_hi:
             return mid
         if g_mid < t_mid:
@@ -376,11 +343,9 @@ def solve_beta_H(
     raise TargetUnreachableError("ratio bisection did not converge")
 
 
-def metastability_report(
-    m: int, q: int, alpha_hat: Optional[float], beta_H: float
-) -> tuple[float, float]:
+def metastability_report(m: int, q: int, beta_H: float) -> tuple[float, float]:
     """(log Z^S - min(log Z^M, log Z^D), sqrt(m)) for suppression trend checks."""
-    split = phase_split(m, q, beta_H, alpha_hat)
+    split = phase_split(m, q, beta_H)
     return split.gap, math.sqrt(m)
 
 

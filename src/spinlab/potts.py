@@ -43,11 +43,6 @@ class PottsInstance(ReductionInstance):
     beta_H: float
     beta_K: float
 
-    @property
-    def alpha_hat(self) -> float:
-        """The majority fraction at coexistence, meanfield.default_alpha_hat(q)."""
-        return meanfield.default_alpha_hat(self.q)
-
     @cached_property
     def hidden_class_table(self) -> tuple[tuple, np.ndarray, np.ndarray]:
         """Joint (sig_H, sig_K) classes of the hidden model.
@@ -134,16 +129,13 @@ def _assemble(G_edges, N: int, m: int, q: int, beta_H: float, beta_cross: float)
     return SpinSystem(q=q, n=N + m, edges=tuple(edges))
 
 
-def beta_interval(
-    N: int,
-    m: int,
-    q: int,
-    alpha_hat: float,
-) -> tuple[float, float]:
+def beta_interval(N: int, m: int, q: int) -> tuple[float, float]:
     """Admissible cross-coupling interval [c1*N/m, c2/(N*m^{3/4})] with
-    c1 = 2 log q / α'' and c2 = δ/2."""
+    c1 = 2 log q / α'' and c2 = δ/2, where α'' is the majority-minority
+    margin of the coexistence fraction α̂ less the window slack 2*m^(-1/4)."""
+    alpha_hat = meanfield.find_critical_Bo(q).alpha_hat
     alpha_p = alpha_hat - (1.0 - alpha_hat) / (q - 1)
-    alpha_pp = alpha_p - 2.0 * m**-0.25
+    alpha_pp = alpha_p - 2.0 * m ** (meanfield.WINDOW_EXPONENT - 1.0)
     if alpha_pp <= 0:
         raise InfeasibleParametersError(
             f"m={m} too small: majority-minority margin {alpha_p:.4f} is "
@@ -151,7 +143,7 @@ def beta_interval(
         )
     c1 = 2.0 * math.log(q) / alpha_pp
     c2 = DEFAULT_DELTA / 2.0
-    return c1 * N / m, c2 / (N * m**0.75)
+    return c1 * N / m, c2 / (N * m**meanfield.WINDOW_EXPONENT)
 
 
 def guard_bounds(G: SpinSystem, r: float) -> tuple[float, float]:
@@ -176,15 +168,14 @@ def build_potts_instance(
     check_finite_log_Zhat(log_Zhat)
     if enforce_guard:
         check_guard(log_Zhat, *guard_bounds(G, r))
-    alpha_hat = meanfield.default_alpha_hat(q)
-    lo, hi = beta_interval(N, m, q, alpha_hat)
+    lo, hi = beta_interval(N, m, q)
     if lo > hi:
         raise InfeasibleParametersError(
             f"empty cross-coupling interval [{lo:.4g}, {hi:.4g}] at N={N}, m={m}; "
             f"increase m"
         )
     beta_cross = 0.5 * (lo + hi)
-    alpha_0 = alpha_hat - 1.0 / q
+    alpha_0 = meanfield.find_critical_Bo(q).alpha_hat - 1.0 / q
     # Window for Z_H^D/Z_H^M is [3/8, 3/4]/sqrt(eps L + 1) times
     # exp(alpha_0*beta*N*m + beta_G|E_G|)/Zhat, i.e. the inverse ratio
     # Z_H^M/Z_H^D must land in [(1/2)R, R] with:
@@ -196,7 +187,7 @@ def build_potts_instance(
         - log_Zhat
     )
     target_R = math.exp(-log_x)
-    beta_H = meanfield.solve_beta_H(m, q, target_R, delta=0.5, alpha_hat=alpha_hat)
+    beta_H = meanfield.solve_beta_H(m, q, target_R, delta=0.5)
     return make_potts_instance(G, m, beta_cross, beta_H)
 
 
@@ -232,9 +223,7 @@ def collapsed_distribution_F(inst: PottsInstance, which: str) -> CollapsedSpace:
 def phase_partition_F(inst: PottsInstance, which: str) -> tuple[float, float, float]:
     """(log Z_F^M, log Z_F^D, log Z_F^S) by H-signature phase membership."""
     space = collapsed_distribution_F(inst, which)
-    classes = meanfield.phase_classes(
-        inst.m, inst.q, inst.alpha_hat, meanfield.DEFAULT_WINDOW_EXPONENT
-    )
+    classes = meanfield.phase_classes(inst.m, inst.q)
     # rows: H signatures; columns: block configurations
     t = (space.log_count + space.log_weight).reshape(len(classes.labels), -1)
     log_ZM, log_ZD, log_ZS = (

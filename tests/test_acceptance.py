@@ -91,7 +91,7 @@ def test_criterion_02_meanfield_exactness():
         model = mf.explicit_complete_graph(m, q, beta_H)
 
         sigs = mf.enumerate_signatures(m, q)
-        labels, _ = mf.classify_signatures(sigs, m, q, crit.alpha_hat)
+        labels, _ = mf.classify_signatures(sigs, m, q)
         label_of = {tuple(sig): lab for sig, lab in zip(sigs.tolist(), labels)}
 
         def pred_for(target):
@@ -149,7 +149,7 @@ def test_criterion_04_metastability_trend():
     crit = mf.find_critical_Bo(3)
     normalized = []
     for m in (30, 40, 60, 80):
-        gap, root_m = mf.metastability_report(m, 3, None, crit.Bo / m)
+        gap, root_m = mf.metastability_report(m, 3, crit.Bo / m)
         normalized.append(gap / root_m)
     negative = all(g < 0 for g in normalized)
     decreasing = all(a > b for a, b in zip(normalized, normalized[1:]))

@@ -16,7 +16,7 @@ from naive_oracle import (
 from spinlab import counting as ct, hubs, meanfield, potts
 from spinlab.errors import GuardViolation, InvalidConfigurationError, InvalidModelError
 from spinlab.exact import IndexSampler, partition_log
-from spinlab.model import SpinSystem
+from spinlab.model import Configuration, SpinSystem
 from spinlab.potts import ANSWER_HIGH, ANSWER_LOW, testing_rate as _rate
 
 
@@ -477,6 +477,7 @@ def test_non_finite_hidden_table_raises_invalid_model():
     inst = potts.make_potts_instance(P, 30, 0.05, 1e306)
     with pytest.raises(InvalidModelError):
         potts.sample_hidden_potts(inst, np.random.default_rng(0))
+    _assert_testers_raise(inst)
     cycle = SpinSystem(q=2, n=4, edges=tuple((v, (v + 1) % 4, -0.6) for v in range(4)), field=())
     # beta1 = 1e308 overflows a u-factor to -inf (a nan class mass);
     # beta2 = -1e308 overflows the w-factors (and the w-path law) to +inf
@@ -486,6 +487,16 @@ def test_non_finite_hidden_table_raises_invalid_model():
                                        strict_family=False)
         with pytest.raises(InvalidModelError):
             hubs.sample_hidden_hub(inst, np.random.default_rng(0))
+        _assert_testers_raise(inst)
+
+
+def _assert_testers_raise(inst):
+    """Both testers read the collapsed spaces, which overflow the same way:
+    they raise instead of answering No on a nan TV."""
+    samples = [Configuration((0,) * inst.visible.n)]
+    for tester in (ct.oracle_tv_tester(0.9, 2), ct.empirical_tester(0.9, 2)):
+        with pytest.raises(InvalidModelError):
+            tester(inst, samples)
 
 
 @pytest.mark.parametrize("weights", ([0.5, np.nan], [1.0, np.inf], [2.0, -1.0], [0.0, 0.0], []))

@@ -46,10 +46,6 @@ class TestParams:
         with pytest.raises(InvalidConfigurationError):
             gd.GadgetParams(b=2, p=3, d_in=1, d_out=0)
 
-    def test_alpha_range(self):
-        with pytest.raises(InvalidConfigurationError):
-            gd.GadgetParams.low_degree(4, 3, alpha=0.3)
-
 
 class TestTheta:
     def test_value_at_one(self):

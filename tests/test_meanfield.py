@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -80,13 +81,24 @@ class TestSignatures:
         assert (info.value.n, info.value.q) == (10**4, 4)
         assert "37.3 bits > cap 22.25" in str(info.value)
 
+    @pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
+    def test_rows_match_brute_force(self, q):
+        # every vector in {0..m}^q summing to m, in lexicographic order
+        for m in range(7):
+            sigs = mf.enumerate_signatures(m, q)
+            brute = [s for s in itertools.product(range(m + 1), repeat=q) if sum(s) == m]
+            assert sigs.dtype == np.int64
+            assert sigs.shape == (len(brute), q)
+            assert [tuple(row) for row in sigs.tolist()] == brute
+            assert not sigs.flags.writeable
 
-def _reference_split(m, q, beta, alpha_hat, window_exponent):
+
+def _reference_split(m, q, beta):
     """Uncached phase split: classify, then mask-and-logsumexp per part."""
     from scipy.special import logsumexp
 
     sigs, logw = mf.signature_log_weights(m, q, beta)
-    labels, frac = mf.classify_signatures(sigs, m, q, alpha_hat, window_exponent)
+    labels, frac = mf.classify_signatures(sigs, m, q)
 
     def part(sel, extra=0.0):
         return float(logsumexp(logw[sel] + extra)) if sel.any() else -math.inf
@@ -100,47 +112,43 @@ def _reference_split(m, q, beta, alpha_hat, window_exponent):
 
 class TestCachedTables:
     CASES = [
-        (8, 3, 0.6, None, mf.DEFAULT_WINDOW_EXPONENT),
-        (30, 3, 1.0, None, mf.DEFAULT_WINDOW_EXPONENT),
-        (90, 3, 1.1, None, mf.DEFAULT_WINDOW_EXPONENT),
-        (20, 4, 0.9, None, mf.DEFAULT_WINDOW_EXPONENT),
-        (12, 5, 1.3, 0.7, mf.DEFAULT_WINDOW_EXPONENT),
-        (25, 3, 1.0, 0.62, 0.6),
-        (16, 4, 0.8, None, 0.65),
+        (8, 3, 0.6),
+        (30, 3, 1.0),
+        (90, 3, 1.1),
+        (20, 4, 0.9),
+        (12, 5, 1.3),
+        (25, 3, 1.0),
+        (16, 4, 0.8),
     ]
 
-    @pytest.mark.parametrize("m, q, beta_mult, alpha_hat, w_exp", CASES)
-    def test_phase_split_equals_uncached_reference(self, m, q, beta_mult, alpha_hat, w_exp):
+    @pytest.mark.parametrize("m, q, beta_mult", CASES)
+    def test_phase_split_equals_uncached_reference(self, m, q, beta_mult):
         beta = beta_mult * mf.find_critical_Bo(q).Bo / m
-        a_hat = mf.default_alpha_hat(q) if alpha_hat is None else alpha_hat
-        parts, branches = _reference_split(m, q, beta, a_hat, w_exp)
-        split = mf.phase_split(m, q, beta, alpha_hat, w_exp)
+        parts, branches = _reference_split(m, q, beta)
+        split = mf.phase_split(m, q, beta)
         assert (split.log_ZM, split.log_ZD, split.log_ZS) == parts
         assert split.log_branches == branches
 
-    @pytest.mark.parametrize("m, q, beta_mult, alpha_hat", [c[:4] for c in CASES])
-    def test_log_ratio_g_equals_uncached_reference(self, m, q, beta_mult, alpha_hat):
+    @pytest.mark.parametrize("m, q, beta_mult", CASES)
+    def test_log_ratio_g_equals_uncached_reference(self, m, q, beta_mult):
         beta = beta_mult * mf.find_critical_Bo(q).Bo / m
-        a_hat = mf.default_alpha_hat(q) if alpha_hat is None else alpha_hat
-        (log_zm, log_zd, _), _ = _reference_split(
-            m, q, beta, a_hat, mf.DEFAULT_WINDOW_EXPONENT
-        )
-        assert mf.log_ratio_g(m, q, beta, alpha_hat) == log_zm - log_zd
+        (log_zm, log_zd, _), _ = _reference_split(m, q, beta)
+        assert mf.log_ratio_g(m, q, beta) == log_zm - log_zd
 
     def test_shared_arrays_are_read_only(self):
         table = mf.signature_table(10, 3)
-        classes = mf.phase_classes(10, 3, mf.default_alpha_hat(3), mf.DEFAULT_WINDOW_EXPONENT)
+        classes = mf.phase_classes(10, 3)
         arrays = [mf.enumerate_signatures(10, 3), table.sigs, table.log_multi,
                   table.mono_edges, classes.labels, *classes.members,
                   *(idx for idx, _ in classes.branches),
-                  *(lf for _, lf in classes.branches if lf is not None)]
+                  *(lf for _, lf in classes.branches)]
         for a in arrays:
             with pytest.raises(ValueError):
                 a[0] = 0
 
     def test_compact_dtypes(self):
         table = mf.signature_table(40, 4)
-        classes = mf.phase_classes(40, 4, mf.default_alpha_hat(4), mf.DEFAULT_WINDOW_EXPONENT)
+        classes = mf.phase_classes(40, 4)
         assert table.mono_edges.dtype == np.int32
         assert classes.labels.dtype == np.int8
         assert all(idx.dtype == np.int32 for idx in classes.members)
@@ -178,7 +186,7 @@ class TestPhaseSplit:
         split = mf.phase_split(m, q, beta)
         model = mf.explicit_complete_graph(m, q, beta)
         sigs = mf.enumerate_signatures(m, q)
-        labels, _ = mf.classify_signatures(sigs, m, q, split.alpha_hat)
+        labels, _ = mf.classify_signatures(sigs, m, q)
         # recompute Z^D via the exact engine over configurations
         d_sigs = {tuple(s) for s, lab in zip(sigs.tolist(), labels) if lab == mf.PHASE_D}
 
@@ -213,7 +221,7 @@ class TestPhaseSplit:
         # the residual phase is exponentially dominated: gap <= -0.7 sqrt(m)
         crit = mf.find_critical_Bo(3)
         for m in (90, 120, 200):
-            gap, root_m = mf.metastability_report(m, 3, None, crit.Bo / m)
+            gap, root_m = mf.metastability_report(m, 3, crit.Bo / m)
             assert gap < -0.7 * root_m
 
 

@@ -98,9 +98,7 @@ class TestCollapsedSpaces:
         # same inputs to each logsumexp as masking the repeated signature labels
         inst = potts.make_potts_instance(base_graph(), m=m, beta_cross=0.2, beta_H=0.9 / m)
         space = potts.collapsed_distribution_F(inst, "visible")
-        labels, _ = meanfield.classify_signatures(
-            meanfield.enumerate_signatures(m, 3), m, 3, inst.alpha_hat
-        )
+        labels, _ = meanfield.classify_signatures(meanfield.enumerate_signatures(m, 3), m, 3)
         full = np.repeat(labels, 3**3)
         t = space.log_count + space.log_weight
         expected = tuple(
@@ -138,14 +136,14 @@ class TestCollapsedSpaces:
 class TestIntervalAndGuard:
     def test_interval_formula(self):
         m = 10_000
-        lo, hi = potts.beta_interval(4, m, 3, alpha_hat=2 / 3)
+        lo, hi = potts.beta_interval(4, m, 3)
         alpha_pp = 2 / 3 - (1 / 3) / 2 - 2 * m**-0.25
         assert lo == pytest.approx(2 * math.log(3) / alpha_pp * 4 / m)
         assert hi == pytest.approx(0.05 / (4 * m**0.75))
 
     def test_interval_rejects_small_m(self):
         with pytest.raises(InfeasibleParametersError):
-            potts.beta_interval(4, 100, 3, alpha_hat=2 / 3)
+            potts.beta_interval(4, 100, 3)
 
     def test_interval_empty_at_desk_scale(self):
         G = base_graph(N=3)
