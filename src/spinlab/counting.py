@@ -35,10 +35,9 @@ from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import GuardViolation, InvalidConfigurationError, InvalidModelError
-from .exact import CollapsedSpace, IndexSampler, tv_collapsed
+from .exact import CollapsedSpace, IndexSampler, logsumexp, tv_collapsed
 from .model import Configuration, SpinSystem, classify_field, disjoint_union, FIELD_ZERO
 
 ANSWER_LOW = "Z<=Zhat/r"

@@ -3,16 +3,23 @@
 ``partition_log`` sums out vertices one at a time in a greedy min-fill order
 (bucket elimination in log space, Dechter 1999), which costs O(n q^(w+1)) for
 induced width w; when the largest intermediate factor would not fit in one
-enumeration block it enumerates instead.  Restricted sums, total-variation
-distance and the reference sampler need every state's weight and enumerate
-the q^n configuration space in blocks of q^k <= 2^20 states with log-sum-exp
-accumulation.  A block is a (q,)*k log-weight tensor built by broadcasting
-each edge's beta*I_q and each field row onto the vertices' axes (a factor
-product, Koller & Friedman 2009, ch. 9); the top n-k vertices index the
-blocks and fold into fields plus a constant, and spin matrices broadcast
-``arange(q)`` the same way, so nothing is decoded.  Every entry point is
-guarded by the same bit budget on q^n.  Enumeration order is lexicographic
-in base q with vertex 0 as the least significant digit (axis k-1-v).
+enumeration block it enumerates instead.
+
+Restricted sums, total-variation distance and the reference sampler need
+every state's weight and enumerate the q^n configuration space in blocks of
+q^k <= 2^20 states with log-sum-exp accumulation.  A state's log-weight is
+T(0) + ... + T(n-1), added in vertex order, where T(v) is h_v[s_v] plus
+beta*[s_u == s_v] for each lower neighbour u of v in edge order.  A block is
+a (q,)*k log-weight tensor grown one vertex at a time: adding T(t), a small
+table over t and its lower neighbours broadcast onto their axes (a factor
+product, Koller & Friedman 2009, ch. 9), turns q^t cells into q^(t+1), so a
+build costs about q^k * q/(q-1) additions where one pass per edge and field
+row cost (|E| + n) * q^k.  The top n-k vertices index the blocks and add
+their T(v) in the same order, so ``block_log_weights`` on decoded spins gives
+the same bits; spin matrices broadcast ``arange(q)`` the same way, so nothing
+is decoded.  Every entry point is guarded by the same bit budget on q^n.
+Enumeration order is lexicographic in base q with vertex 0 as the least
+significant digit (axis k-1-v).  ``logsumexp`` has scipy's bits.
 """
 
 from __future__ import annotations
@@ -24,7 +31,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import BudgetExceededError, InvalidConfigurationError, InvalidModelError
 from .model import Configuration, SpinSystem
@@ -56,6 +62,18 @@ def decode_spins(model: SpinSystem, indices: np.ndarray) -> np.ndarray:
     return out.T
 
 
+def _terms(model: SpinSystem, spin: Callable[[int], np.ndarray]):
+    """T(v) = h_v[s_v] + beta*[s_u == s_v] + ... over the lower neighbours u
+    of v in edge order, added left to right, where ``spin(x)`` gives s_x as
+    a spin column, a broadcast table or a fixed spin.  A state's log-weight
+    is T(0) + ... + T(n-1), added in that order too."""
+    h = model.field_array
+    lower = [[] for _ in range(model.n)]
+    for u, v, beta in model.edges:
+        lower[v].append((u, beta))
+    return lambda v: sum((beta * (spin(u) == spin(v)) for u, beta in lower[v]), h[v][spin(v)])
+
+
 def iter_blocks(
     model: SpinSystem, with_spins: bool = False
 ) -> Iterator[tuple[np.ndarray, Optional[np.ndarray]]]:
@@ -70,38 +88,38 @@ def iter_blocks(
     k = min(n, max(1, int(_BLOCK_BITS / math.log2(q))))
     j = min(k, int(8 / math.log2(q)))
     merged = (q,) * (k - j) + (q**j,)
+    dtype = np.min_scalar_type(-q)  # as decode_spins
 
-    def onto(table: np.ndarray, *vertices: int) -> np.ndarray:
-        """A table over ``vertices`` (highest first) as a merged-block operand."""
+    def onto(x: int) -> np.ndarray:
+        """Vertex x's spins on its axis, as a merged-block operand."""
         shape = [1] * k
-        for x in vertices:
-            shape[k - 1 - x] = q
-        full = np.broadcast_to(table.reshape(shape), shape[: k - j] + [q] * j)
+        shape[k - 1 - x] = q
+        full = np.broadcast_to(np.arange(q, dtype=dtype).reshape(shape), shape[: k - j] + [q] * j)
         return full.reshape(tuple(shape[: k - j]) + (q**j,))
 
-    u, v, b = model.edge_arrays
-    h = model.field_array
-    low = v < k  # u < v, so both ends are low
-    base = np.zeros(merged)
-    for ui, vi, bi in zip(u[low], v[low], b[low]):
-        base += onto(bi * np.eye(q), vi, ui)
+    low = [onto(x) for x in range(k)]
+    term = _terms(model, lambda x: low[x] if x < k else top[x - k])  # top: set per block
+    # The tensor over vertices < t is the block's first q^t cells, so adding
+    # T(t), a small table over t and its lower neighbours, grows it in place
+    # to q^(t+1) cells: about q^k * q/(q-1) additions per block.
+    base = np.empty(q**k)
+    base[: q**j] = np.ravel(sum(map(term, range(j)), 0.0))
+    for t in range(j, k):
+        rows = base[: q ** (t + 1)].reshape(merged[k - 1 - t:])
+        table = term(t)
+        table = table.reshape(table.shape[k - 1 - t:])  # drop the axes above t
+        np.add(rows[0], table[1:], out=rows[1:])
+        np.add(rows[0], table[0], out=rows[0])
+    base = base.reshape(merged)
     if with_spins:
-        dtype = np.min_scalar_type(-q)  # as decode_spins
         spins = np.empty((n, q**k), dtype=dtype)
-        for vtx in range(k):
-            spins[vtx].reshape(merged)[...] = onto(np.arange(q, dtype=dtype), vtx)
-    # the top n-k vertices index the blocks: fold their spins into fields on
-    # the low vertices (edges across) and a constant (edges and fields above)
-    cross, inner = low ^ (u < k), u >= k
+        for x in range(k):
+            spins[x].reshape(merged)[...] = low[x]
+    # the top n-k vertices index the blocks: with their spins fixed, each
+    # T(v) is a constant or a table over its low neighbours
     for block in range(q ** (n - k)):
         top = block // q ** np.arange(n - k) % q
-        fields = h[:k].copy()
-        np.add.at(fields, (u[cross], top[v[cross] - k]), b[cross])
-        const = b[inner] @ (top[u[inner] - k] == top[v[inner] - k])
-        lw = base + (const + h[np.arange(k, n), top].sum()) if n > k else base
-        for vtx in range(k):
-            if np.any(fields[vtx]):
-                lw += onto(fields[vtx], vtx)
+        lw = sum(map(term, range(k, n)), base)
         if with_spins:
             spins[k:] = top[:, None]
             # later blocks overwrite the top rows, so each gets a copy
@@ -117,27 +135,30 @@ def state_table(model: SpinSystem) -> tuple[np.ndarray, np.ndarray]:
 
 
 def block_log_weights(model: SpinSystem, spins: np.ndarray) -> np.ndarray:
-    """Log-weights for every configuration row of ``spins``."""
-    u, v, b = model.edge_arrays
-    lw = np.zeros(len(spins), dtype=float)
-    for ui, vi, bi in zip(u, v, b):
-        lw += bi * (spins[:, ui] == spins[:, vi])
-    if model.field:
-        h = model.field_array
-        for vtx in range(model.n):
-            col = h[vtx]
-            if np.any(col):
-                lw += col[spins[:, vtx]]
-    return lw
+    """Log-weights for every configuration row of ``spins``, bit for bit as
+    :func:`iter_blocks` gives them."""
+    return sum(map(_terms(model, lambda x: spins[:, x]), range(model.n)), np.zeros(len(spins)))
 
 
-def _logsumexp_parts(parts: list[float]) -> float:
-    """Combine per-block log sums; -inf for none, the part itself for one."""
-    if not parts:
+def logsumexp(a) -> float:
+    """log(sum(exp(a))) of a 1-D float64 array or sequence, with the bits of
+    ``scipy.special.logsumexp(a)``: with peak m taken c times and s the sum of
+    exp(x - m) over the other entries, log1p(s/c) + log(c) + m, which is
+    finite for finite m; the unshifted log(sum(exp(a))) when m is not finite
+    (all -inf, or a +inf or nan entry); -inf when empty."""
+    a = np.asarray(a, dtype=float)
+    if not a.size:
         return float("-inf")
-    if len(parts) == 1:
-        return float(parts[0])
-    return float(logsumexp(parts))
+    peak = a.max()
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if not math.isfinite(peak):
+            return float(np.log(np.exp(a).sum()))
+        top = a == peak
+        count = np.float64(np.count_nonzero(top))
+        shifted = a - peak
+        shifted[top] = -np.inf
+        s = np.exp(shifted, out=shifted).sum()
+    return float(np.log1p(s / count) + np.log(count) + peak)
 
 
 def _min_fill_order(model: SpinSystem) -> tuple[list[int], int]:
@@ -210,7 +231,7 @@ def _eliminate_log_Z(model: SpinSystem, order: Sequence[int]) -> float:
 
 def _enumerate_log_Z(model: SpinSystem) -> float:
     """log Z by full block enumeration."""
-    return _logsumexp_parts([logsumexp(lw) for lw, _ in iter_blocks(model)])
+    return logsumexp([logsumexp(lw) for lw, _ in iter_blocks(model)])
 
 
 def partition_log(model: SpinSystem, budget_bits: float = DEFAULT_BUDGET_BITS) -> float:
@@ -253,8 +274,8 @@ def restricted_partition_multi(
         for k, pred in enumerate(predicates):
             mask = np.asarray(pred(spins), dtype=bool)
             if mask.any():
-                parts[k].append(float(logsumexp(lw[mask])))
-    return [_logsumexp_parts(p) for p in parts]
+                parts[k].append(logsumexp(lw[mask]))
+    return [logsumexp(p) for p in parts]
 
 
 def tv_exact(model_a: SpinSystem, model_b: SpinSystem) -> float:
@@ -283,7 +304,7 @@ class ExactDistribution:
     ) -> "ExactDistribution":
         check_budget(model, budget_bits)
         lw = np.concatenate([w for w, _ in iter_blocks(model)])
-        log_z = float(logsumexp(lw))
+        log_z = logsumexp(lw)
         return cls(model=model, log_Z=log_z, log_probs=lw - log_z)
 
     def configuration(self, index: int) -> Configuration:
@@ -369,16 +390,16 @@ class CollapsedSpace:
 
     @property
     def log_Z(self) -> float:
-        return float(logsumexp(self.log_count + self.log_weight))
-
-    def log_class_masses(self) -> np.ndarray:
-        """Log probability of each class; a nan, infinite or zero total mass
-        is an InvalidModelError, never a nan TV or tester answer."""
-        t = self.log_count + self.log_weight
-        log_Z = float(logsumexp(t))
+        """Log total mass; a nan, infinite or zero total is an
+        InvalidModelError, never a nan TV, tester answer or phase sum."""
+        log_Z = logsumexp(self.log_count + self.log_weight)
         if not math.isfinite(log_Z):
             raise InvalidModelError(f"collapsed space has non-finite log Z = {log_Z!r}")
-        return t - log_Z
+        return log_Z
+
+    def log_class_masses(self) -> np.ndarray:
+        """Log probability of each class; raises as :attr:`log_Z` does."""
+        return self.log_count + self.log_weight - self.log_Z
 
 
 def tv_collapsed(space_a: CollapsedSpace, space_b: CollapsedSpace) -> float:

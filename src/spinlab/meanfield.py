@@ -27,9 +27,10 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import minimize_scalar
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from .errors import BudgetExceededError, InvalidModelError, TargetUnreachableError
+from .exact import logsumexp
 
 PHASE_M, PHASE_D, PHASE_S = 0, 1, 2
 WINDOW_EXPONENT = 0.75  # every phase window has half-width m^(3/4)
@@ -227,7 +228,7 @@ class PhaseSplit:
 
     @property
     def log_Z(self) -> float:
-        return float(logsumexp([self.log_ZM, self.log_ZD, self.log_ZS]))
+        return logsumexp([self.log_ZM, self.log_ZD, self.log_ZS])
 
     @property
     def gap(self) -> float:
@@ -267,23 +268,19 @@ def phase_classes(m: int, q: int) -> PhaseClasses:
     return PhaseClasses(_read_only(labels), members, tuple(branches))
 
 
-def _log_sum(log_terms: np.ndarray) -> float:
-    return float(logsumexp(log_terms)) if len(log_terms) else float("-inf")
-
-
 def phase_split(m: int, q: int, beta_H: float) -> PhaseSplit:
     """Exact log partition values of the M/D/S phases of the complete graph K_m."""
     if m < 1:
         raise InvalidModelError("m must be >= 1")
     _, logw = signature_log_weights(m, q, beta_H)
     classes = phase_classes(m, q)
-    log_ZM, log_ZD, log_ZS = (_log_sum(logw[idx]) for idx in classes.members)
+    log_ZM, log_ZD, log_ZS = (logsumexp(logw[idx]) for idx in classes.members)
     return PhaseSplit(
         log_ZM=log_ZM,
         log_ZD=log_ZD,
         log_ZS=log_ZS,
         log_branches=tuple(
-            _log_sum(logw[idx] + log_frac) for idx, log_frac in classes.branches
+            logsumexp(logw[idx] + log_frac) for idx, log_frac in classes.branches
         ),
     )
 
@@ -295,7 +292,7 @@ def log_ratio_g(m: int, q: int, beta_H: float) -> float:
     table = signature_table(m, q)
     members = phase_classes(m, q).members
     log_ZM, log_ZD = (
-        _log_sum(table.log_multi[idx] + float(beta_H) * table.mono_edges[idx])
+        logsumexp(table.log_multi[idx] + float(beta_H) * table.mono_edges[idx])
         for idx in (members[PHASE_M], members[PHASE_D])
     )
     return log_ZM - log_ZD

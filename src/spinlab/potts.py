@@ -19,14 +19,13 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import meanfield
 # ANSWER_* are re-exported for callers that import them from here.
 from .counting import ANSWER_HIGH, ANSWER_LOW, ReductionInstance
 from .counting import check_finite_log_Zhat, check_guard, testing_rate
 from .errors import InfeasibleParametersError, InvalidModelError
-from .exact import ClassLayout, CollapsedSpace, state_table
+from .exact import ClassLayout, CollapsedSpace, logsumexp, state_table
 from .model import Configuration, SpinSystem, classify_field, FIELD_ZERO
 
 DEFAULT_DELTA = 0.1
@@ -221,15 +220,15 @@ def collapsed_distribution_F(inst: PottsInstance, which: str) -> CollapsedSpace:
 
 
 def phase_partition_F(inst: PottsInstance, which: str) -> tuple[float, float, float]:
-    """(log Z_F^M, log Z_F^D, log Z_F^S) by H-signature phase membership."""
+    """(log Z_F^M, log Z_F^D, log Z_F^S) by H-signature phase membership; -inf
+    for an empty phase, and an InvalidModelError, as from
+    :attr:`CollapsedSpace.log_Z`, when the space's total is not finite."""
     space = collapsed_distribution_F(inst, which)
+    space.log_Z  # raises on a nan, infinite or zero total
     classes = meanfield.phase_classes(inst.m, inst.q)
     # rows: H signatures; columns: block configurations
     t = (space.log_count + space.log_weight).reshape(len(classes.labels), -1)
-    log_ZM, log_ZD, log_ZS = (
-        float(logsumexp(t[idx].ravel())) if len(idx) else float("-inf")
-        for idx in classes.members
-    )
+    log_ZM, log_ZD, log_ZS = (logsumexp(t[idx].ravel()) for idx in classes.members)
     return log_ZM, log_ZD, log_ZS
 
 

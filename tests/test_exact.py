@@ -1,6 +1,7 @@
 import logging
 import math
 import pickle
+import warnings
 from unittest import mock
 
 import networkx as nx
@@ -321,7 +322,7 @@ def decode_path_split(model):
             mask = spins[:, 0] == c
             if mask.any():
                 parts[c].append(float(logsumexp(lw[mask])))
-    return [exact._logsumexp_parts(p) for p in parts]
+    return [float(logsumexp(p)) if p else -math.inf for p in parts]
 
 
 class TestBlockTensors:
@@ -371,6 +372,24 @@ class TestBlockTensors:
         expected = exact.block_log_weights(m, spins)
         assert np.allclose(lw, expected, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("q, n, edges, field", [
+        # the 3^5 model of test_multi_block_spins_and_order
+        (3, 5, ((0, 1, 0.4), (1, 3, -0.7), (2, 4, 1.1), (3, 4, 0.2)),
+         ((0, 2, 0.5), (3, 1, -0.3), (4, 0, 0.8))),
+        # 2^7 states in blocks of 2^4: edges inside the low four, across and
+        # among the top three, a top vertex with neither field nor lower edge
+        (2, 7, ((0, 1, 0.3), (1, 3, -1.2), (2, 3, 0.7), (0, 4, 0.9), (3, 4, -0.4),
+                (2, 6, 1.3), (4, 6, -0.8)), ((1, 0, 0.25), (4, 1, -0.6), (6, 0, 0.35))),
+    ])
+    def test_multi_block_weights_bit_identical(self, monkeypatch, q, n, edges, field):
+        monkeypatch.setattr(exact, "_BLOCK_BITS", 4)
+        m = make(q, n, edges, field)
+        blocks = list(exact.iter_blocks(m, with_spins=True))
+        assert len(blocks) > 1
+        for lw, spins in blocks:
+            expected = exact.block_log_weights(m, spins)
+            assert np.array_equal(lw.view(np.int64), expected.view(np.int64))
+
     def test_spin_values_beyond_one_block(self):
         # q > 2^20: one vertex per block, q states each
         q = (1 << 20) + 3
@@ -382,6 +401,45 @@ class TestBlockTensors:
         lw, spins = exact.state_table(m)
         (ref_spins, ref_lw), = decode_path_blocks(m)
         assert np.array_equal(lw, ref_lw) and np.array_equal(spins, ref_spins)
+
+
+def _lse_cases(n):
+    """Seeded 1-D inputs of length n: spread, near-tied and integer values,
+    repeated maxima, -inf, +inf and nan entries, and all -inf."""
+    rng = np.random.default_rng(n)
+    a = rng.normal(0.0, 30.0, size=n)
+    ties = a.copy()
+    ties[rng.integers(n, size=3)] = a.max()
+    holes = a.copy()
+    holes[rng.random(n) < 0.3] = -np.inf
+    cases = [a, 5.0 + 1e-12 * a, np.floor(a / 20.0), ties, holes, a * 1e306, a - 800.0,
+             np.full(n, -np.inf)]
+    for bad in (np.inf, np.nan):
+        c = holes.copy()
+        c[rng.integers(n)] = bad
+        cases.append(c)
+    return cases
+
+
+class TestLogsumexp:
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 255, 256, 257, 4099, 40176, 1 << 18])
+    def test_bits_equal_scipy(self, n):
+        for a in _lse_cases(n):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # quiet where scipy warns of overflow
+                got = exact.logsumexp(a)
+            with np.errstate(over="ignore"):
+                want = logsumexp(a)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), a
+            if n <= 257:
+                assert np.float64(exact.logsumexp(a.tolist())).tobytes() == np.float64(want).tobytes()
+
+    def test_empty_and_small_lists(self):
+        assert exact.logsumexp([]) == -math.inf
+        assert exact.logsumexp(np.zeros(0)) == -math.inf
+        for a in ([0.5], [-3.0, 2.0], [1, 1, 1], [-math.inf, 0.0], [-math.inf] * 2):
+            assert np.float64(exact.logsumexp(a)).tobytes() == np.float64(logsumexp(a)).tobytes()
 
 
 @st.composite

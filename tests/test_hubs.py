@@ -306,11 +306,13 @@ def looped_collapsed_hub(inst, which):
     idx = np.arange(1 << N, dtype=np.int64)
     spins = ((idx[:, None] >> np.arange(N)[None, :]) & 1).astype(np.int8)
     block_lw = np.zeros(1 << N, dtype=float)
-    for u, v, b in base.edges:
-        block_lw += b * (spins[:, u] == spins[:, v])
-    if base.field:
-        for v in range(N):
-            block_lw += base.field_array[v][spins[:, v]]
+    for w in range(N):
+        # vertex-major: w's field, then its edges to lower vertices in edge order
+        term = base.field_array[w][spins[:, w]] if base.field else 0.0
+        for u, v, b in base.edges:
+            if v == w:
+                term = term + b * (spins[:, u] == spins[:, v])
+        block_lw += term
     same_u, diff_u = hubs._u_factors(inst.variant, inst.beta1, inst.n_uv)
     parts = []
     for c1 in (0, 1):

@@ -115,6 +115,17 @@ class TestCollapsedSpaces:
             partition_log(inst.visible), rel=1e-12
         )
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_space_total_raises(self):
+        # beta_H = 1e306 overflows the class weights of the q=3 4-cycle
+        P = SpinSystem(q=3, n=4, edges=tuple((v, (v + 1) % 4, 0.5) for v in range(4)), field=())
+        inst = potts.make_potts_instance(P, 30, 0.05, 1e306)
+        for which, space in zip(("visible", "hidden"), inst.collapsed_pair):
+            with pytest.raises(InvalidModelError, match="non-finite log Z"):
+                space.log_Z
+            with pytest.raises(InvalidModelError, match="non-finite log Z"):
+                potts.phase_partition_F(inst, which)
+
     def test_tv_zero_when_base_is_clique(self):
         # if G is already K_N with beta_K, visible == hidden
         q, N = 3, 3
@@ -207,9 +218,13 @@ def looped_collapsed_F(inst, which):
         spins[:, v] = rem % q
         rem //= q
     block_lw = np.zeros(q**N, dtype=float)
-    for u, v, b in model.edges:
-        if u < N and v < N:
-            block_lw += b * (spins[:, u] == spins[:, v])
+    for w in range(N):
+        # vertex-major: w's edges to lower block vertices in edge order
+        term = 0.0
+        for u, v, b in model.edges:
+            if v == w:
+                term = term + b * (spins[:, u] == spins[:, v])
+        block_lw += term
     counts = np.stack([(spins == c).sum(axis=1) for c in range(q)], axis=1).astype(float)
     cross = table.sigs.astype(float) @ counts.T
     log_weight = (
