@@ -3,8 +3,8 @@
 Subcommands build instances, run solvers and sweeps, and emit reproducible
 reports.  Every randomized subcommand requires --seed; identical inputs and
 seed produce byte-identical reports (wall-clock timings are emitted only
-behind --timing).  Exit codes: 0 ok, 2 usage, 3 guard violation, 4 budget
-exceeded.
+behind --timing).  Exit codes: 0 ok, 2 usage (including a model file that is
+not JSON or fails the schema), 3 guard violation, 4 budget exceeded.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import json
 import sys
 
 import click
+from jsonschema import ValidationError
 
 from . import counting, gadget as gadget_mod, hubs, meanfield
 from .errors import (
@@ -50,6 +51,8 @@ def _load(model_path: str):
         raise click.UsageError(
             f"{model_path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValidationError as exc:
+        raise click.UsageError(f"{model_path}: not a model document: {exc.message}") from exc
 
 
 def _run(fn):

@@ -10,8 +10,12 @@ hidden instance pair whose total-variation distance encodes the comparison.
 The reduction contract lives here: the two answers, the rate
 :func:`testing_rate`, the guard :func:`check_guard` and the instance shape
 :class:`ReductionInstance`.  An instance (``hubs.HubInstance``,
-``potts.PottsInstance``) holds ``visible`` and ``hidden`` models whose first
-``N`` vertices form the base block, and supplies three things:
+``potts.PottsInstance``) holds the base blocks (vertices 0..N-1) in which its
+visible and hidden models differ, and supplies four things:
+
+* ``assemble(block)`` — the full model around a base block, from the
+  instance's own couplings, which builds ``visible`` and ``hidden`` on first
+  read;
 
 * ``collapsed(which)`` — the exact collapsed space of one model, with classes
   numbered ``outer * q**N + block index``;
@@ -98,8 +102,23 @@ def check_guard(log_Zhat: float, floor: float, ceiling: float) -> None:
         raise GuardViolation("above", ANSWER_LOW, f"log Zhat {log_Zhat:.4g} > ceiling {ceiling:.4g}")
 
 
+@dataclass(frozen=True)
 class ReductionInstance:
     """Shared shape of a visible/hidden reduction pair; see the module docstring."""
+
+    visible_block: SpinSystem
+    hidden_block: SpinSystem
+
+    @property
+    def N(self) -> int:
+        return self.visible_block.n
+
+    @property
+    def q(self) -> int:
+        return self.visible_block.q
+
+    def assemble(self, block: SpinSystem) -> SpinSystem:
+        raise NotImplementedError
 
     def collapsed(self, which: str) -> CollapsedSpace:
         raise NotImplementedError
@@ -108,18 +127,24 @@ class ReductionInstance:
         raise NotImplementedError
 
     def model(self, which: str) -> SpinSystem:
-        if which == "visible":
-            return self.visible
-        if which == "hidden":
-            return self.hidden
-        raise InvalidModelError(f"which must be visible|hidden, got {which!r}")
+        self.base_block(which)  # rejects an unknown ``which``
+        return getattr(self, which)
 
     def base_block(self, which: str) -> SpinSystem:
-        """The model restricted to the base block, vertices 0..N-1."""
-        N, src = self.N, self.model(which)
-        edges = tuple((u, v, b) for u, v, b in src.edges if u < N and v < N)
-        field = tuple((v, s, h) for v, s, h in src.field if v < N)
-        return SpinSystem(q=self.q, n=N, edges=edges, field=field)
+        """The model's base block, vertices 0..N-1, as stored at build."""
+        if which not in ("visible", "hidden"):
+            raise InvalidModelError(f"which must be visible|hidden, got {which!r}")
+        return getattr(self, which + "_block")
+
+    @cached_property
+    def visible(self) -> SpinSystem:
+        """The full visible model, assembled on first read."""
+        return self.assemble(self.visible_block)
+
+    @cached_property
+    def hidden(self) -> SpinSystem:
+        """The full hidden model, assembled on first read."""
+        return self.assemble(self.hidden_block)
 
     @cached_property
     def collapsed_pair(self) -> tuple[CollapsedSpace, CollapsedSpace]:

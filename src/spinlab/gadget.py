@@ -258,29 +258,22 @@ def build_blowup(
         off = v * two_b
         edges.extend((off + a, off + c, beta_hat) for a, c in gadget.edges)
 
-    # Free ports: per base vertex, the still-unused ports on each side,
-    # consumed in index order (ports on one side are interchangeable).
-    free_L = {v: list(gadget.ports_L) for v in range(G.n)}
-    free_R = {v: list(gadget.ports_R) for v in range(G.n)}
+    # A base edge takes ``need`` ports on both sides of both endpoints
+    # (L_u--R_v and R_u--L_v), so each side of v has given out the same
+    # used[v] ports, in index order; the d_G * need <= p check leaves enough.
+    used = [0] * G.n
+    L, R = gadget.ports_L, gadget.ports_R
     for u, v, beta in G.edges:
         ell = ells[(u, v)]
         need = _ports_per_side(ell, d_out)
         w = beta / (2.0 * ell)
         pattern = _cross_pattern(ell, d_out)
-        for side_a, side_b_, va, vb in (
-            (free_L, free_R, u, v),  # L_u -- R_v
-            (free_R, free_L, u, v),  # R_u -- L_v
-        ):
-            pa, pb = side_a[va][:need], side_b_[vb][:need]
-            if len(pa) < need or len(pb) < need:
-                raise InfeasibleParametersError(
-                    f"ran out of free ports while wiring base edge ({u}, {v})"
-                )
-            del side_a[va][:need]
-            del side_b_[vb][:need]
-            ga = [va * two_b + x for x in pa]
-            gb = [vb * two_b + x for x in pb]
+        for ports_u, ports_v in ((L, R), (R, L)):
+            ga = [u * two_b + x for x in ports_u[used[u]:used[u] + need]]
+            gb = [v * two_b + x for x in ports_v[used[v]:used[v] + need]]
             edges.extend((ga[i], gb[j], w) for i, j in pattern)
+        used[u] += need
+        used[v] += need
 
     field = []
     if G.field:

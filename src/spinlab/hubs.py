@@ -52,9 +52,6 @@ def g_antiferro(x: float) -> float:
 @dataclass(frozen=True)
 class HubInstance(ReductionInstance):
     variant: str
-    visible: SpinSystem
-    hidden: SpinSystem
-    N: int
     n_uv: int
     n_ss: int
     beta1: float
@@ -64,8 +61,6 @@ class HubInstance(ReductionInstance):
     beta_K: float
     field_spins: tuple[int, ...]  # ferro variant: per-base-vertex field spin
 
-    q = 2  # Ising; a class attribute, not a field
-
     @property
     def s1(self) -> int:
         return self.N
@@ -73,6 +68,28 @@ class HubInstance(ReductionInstance):
     @property
     def s2(self) -> int:
         return self.N + 1
+
+    def assemble(self, block: SpinSystem) -> SpinSystem:
+        """The base block joined to the hubs by n_uv 2-paths per (vertex,
+        hub), plus the n_ss hub 3-paths (antiferro) or pendants (ferro)."""
+        N, s1, s2 = self.N, self.s1, self.s2
+        sign = -1.0 if self.variant == VARIANT_ANTIFERRO else 1.0
+        edges, field = list(block.edges), list(block.field)
+        ids = itertools.count(N + 2)  # auxiliary vertex ids, in layout order
+        for v in range(N):
+            for hub in (s1, s2):
+                for u in itertools.islice(ids, self.n_uv):
+                    edges += [(v, u, sign * self.beta1), (u, hub, sign * self.beta1)]
+        if self.variant == VARIANT_ANTIFERRO:
+            for _ in range(self.n_ss):
+                w1, w2 = next(ids), next(ids)
+                edges += [(s1, w1, -self.beta2), (w1, w2, -self.beta2), (w2, s2, -self.beta2)]
+        else:
+            for hub, spin in ((s1, 0), (s2, 1)):
+                for w in itertools.islice(ids, self.n_ss):
+                    edges.append((hub, w, self.beta2))
+                    field.append((w, spin, self.h))
+        return SpinSystem(q=2, n=next(ids), edges=tuple(edges), field=tuple(field))
 
     def collapsed(self, which: str) -> CollapsedSpace:
         return collapsed_distribution_hub(self, which)
@@ -324,6 +341,8 @@ def build_hub_instance(
         n_uv = N
     if n_ss is None:
         n_ss = N * N
+    if min(n_uv, n_ss) < 0:
+        raise InvalidModelError(f"n_uv and n_ss must be nonnegative, got {n_uv} and {n_ss}")
     r = testing_rate(epsilon, L)
     check_finite_log_Zhat(log_Zhat)
     # log_Zmono sets the guard window and the beta2 target.
@@ -346,25 +365,19 @@ def build_hub_instance(
     if beta2 is None:
         solve = solve_beta2_antiferro if variant == VARIANT_ANTIFERRO else solve_beta2_ferro
         beta2 = solve(beta1, n_ss, log_Zhat, log_Zmono, epsilon, L)
+    if not (math.isfinite(beta1) and math.isfinite(beta2)):
+        raise InvalidModelError(f"couplings must be finite, got {beta1!r} and {beta2!r}")
     if variant == VARIANT_ANTIFERRO:
         h, beta_K = 0.0, 0.0
-        hidden_edges: tuple = ()
-        hidden_field: tuple = ()
+        hidden_block = SpinSystem(q=2, n=N)
     else:
         h, beta_K = beta2, beta_G + 4.0 * math.log(2.0)
-        hidden_edges = tuple((i, j, beta_K) for i in range(N) for j in range(i + 1, N))
-        hidden_field = G.field
-    visible = _assemble_hub(
-        variant, N, n_uv, n_ss, beta1, beta2, h, G.edges, G.field
-    )
-    hidden = _assemble_hub(
-        variant, N, n_uv, n_ss, beta1, beta2, h, hidden_edges, hidden_field
-    )
+        k_edges = tuple((i, j, beta_K) for i in range(N) for j in range(i + 1, N))
+        hidden_block = SpinSystem(q=2, n=N, edges=k_edges, field=G.field)
     return HubInstance(
+        visible_block=SpinSystem(q=2, n=N, edges=G.edges, field=G.field),
+        hidden_block=hidden_block,
         variant=variant,
-        visible=visible,
-        hidden=hidden,
-        N=N,
         n_uv=n_uv,
         n_ss=n_ss,
         beta1=beta1,
@@ -374,50 +387,6 @@ def build_hub_instance(
         beta_K=beta_K,
         field_spins=field_spins,
     )
-
-
-def _assemble_hub(
-    variant: str,
-    N: int,
-    n_uv: int,
-    n_ss: int,
-    beta1: float,
-    beta2: float,
-    h: float,
-    base_edges: tuple,
-    base_field: tuple,
-) -> SpinSystem:
-    s1, s2 = N, N + 1
-    sign = -1.0 if variant == VARIANT_ANTIFERRO else 1.0
-    edges = list(base_edges)
-    field = list(base_field)
-    nxt = N + 2
-    for v in range(N):
-        for hub in (s1, s2):
-            for _ in range(n_uv):
-                u = nxt
-                nxt += 1
-                edges.append((v, u, sign * beta1))
-                edges.append((u, hub, sign * beta1))
-    if variant == VARIANT_ANTIFERRO:
-        for _ in range(n_ss):
-            w1, w2 = nxt, nxt + 1
-            nxt += 2
-            edges.append((s1, w1, -beta2))
-            edges.append((w1, w2, -beta2))
-            edges.append((w2, s2, -beta2))
-    else:
-        for _ in range(n_ss):
-            w = nxt
-            nxt += 1
-            edges.append((s1, w, beta2))
-            field.append((w, 0, h))
-        for _ in range(n_ss):
-            w = nxt
-            nxt += 1
-            edges.append((s2, w, beta2))
-            field.append((w, 1, h))
-    return SpinSystem(q=2, n=nxt, edges=tuple(edges), field=tuple(field))
 
 
 # -- closed forms ---------------------------------------------------------------

@@ -15,11 +15,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
-from jsonschema import validate as _js_validate
+from jsonschema import Draft202012Validator
+from jsonschema.exceptions import best_match
 
 from .errors import InvalidConfigurationError, InvalidModelError
 
@@ -202,6 +203,13 @@ MODEL_SCHEMA: dict = {
 }
 
 
+@cache
+def _model_validator() -> Draft202012Validator:
+    """MODEL_SCHEMA's validator, built on first use; the schema itself is
+    checked by the test suite rather than on every load."""
+    return Draft202012Validator(MODEL_SCHEMA)
+
+
 def model_to_dict(model: SpinSystem) -> dict:
     doc: dict = {
         "q": model.q,
@@ -215,7 +223,9 @@ def model_to_dict(model: SpinSystem) -> dict:
 
 
 def model_from_dict(doc: Mapping) -> SpinSystem:
-    _js_validate(instance=doc, schema=MODEL_SCHEMA)
+    error = best_match(_model_validator().iter_errors(doc))
+    if error is not None:
+        raise error
     bip = None
     if doc.get("bipartition") is not None:
         bip = (tuple(doc["bipartition"][0]), tuple(doc["bipartition"][1]))

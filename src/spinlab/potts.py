@@ -33,11 +33,7 @@ DEFAULT_DELTA = 0.1
 
 @dataclass(frozen=True)
 class PottsInstance(ReductionInstance):
-    visible: SpinSystem
-    hidden: SpinSystem
-    N: int
     m: int
-    q: int
     beta_cross: float
     beta_H: float
     beta_K: float
@@ -63,6 +59,15 @@ class PottsInstance(ReductionInstance):
         rows_k = [tuple(t) for t in tk.sigs.tolist()]
         descriptors = tuple(itertools.product(rows_h, rows_k))
         return descriptors, log_count, log_weight
+
+    def assemble(self, block: SpinSystem) -> SpinSystem:
+        """The base block joined to K_m (coupling beta_H) by K_{N,m}
+        (coupling beta_cross)."""
+        N, m = self.N, self.m
+        edges = list(block.edges)
+        edges += [(N + i, N + j, self.beta_H) for i in range(m) for j in range(i + 1, m)]
+        edges += [(v, N + i, self.beta_cross) for v in range(N) for i in range(m)]
+        return SpinSystem(q=self.q, n=N + m, edges=tuple(edges), field=block.field)
 
     def collapsed(self, which: str) -> CollapsedSpace:
         return collapsed_distribution_F(self, which)
@@ -90,17 +95,17 @@ class PottsInstance(ReductionInstance):
 def make_potts_instance(G: SpinSystem, m: int, beta_cross: float, beta_H: float) -> PottsInstance:
     """Direct constructor with explicit couplings (no solver, no guard)."""
     beta_G = _check_base_graph(G)
+    if not (math.isfinite(beta_cross) and math.isfinite(beta_H)):
+        raise InvalidModelError(f"couplings must be finite, got {beta_cross!r} and {beta_H!r}")
+    if m < 0:
+        raise InvalidModelError(f"the clique size m must be nonnegative, got {m}")
     q, N = G.q, G.n
     beta_K = beta_G + 4.0 * math.log(q)
-    visible = _assemble(G_edges=G.edges, N=N, m=m, q=q, beta_H=beta_H, beta_cross=beta_cross)
     k_edges = tuple((i, j, beta_K) for i in range(N) for j in range(i + 1, N))
-    hidden = _assemble(G_edges=k_edges, N=N, m=m, q=q, beta_H=beta_H, beta_cross=beta_cross)
     return PottsInstance(
-        visible=visible,
-        hidden=hidden,
-        N=N,
+        visible_block=SpinSystem(q=q, n=N, edges=G.edges),
+        hidden_block=SpinSystem(q=q, n=N, edges=k_edges),
         m=m,
-        q=q,
         beta_cross=beta_cross,
         beta_H=beta_H,
         beta_K=beta_K,
@@ -119,13 +124,6 @@ def _check_base_graph(G: SpinSystem) -> float:
     if G.edges and beta_G <= 0:
         raise InvalidModelError("base graph must be ferromagnetic")
     return beta_G
-
-
-def _assemble(G_edges, N: int, m: int, q: int, beta_H: float, beta_cross: float) -> SpinSystem:
-    edges = list(G_edges)
-    edges += [(N + i, N + j, beta_H) for i in range(m) for j in range(i + 1, m)]
-    edges += [(v, N + i, beta_cross) for v in range(N) for i in range(m)]
-    return SpinSystem(q=q, n=N + m, edges=tuple(edges))
 
 
 def beta_interval(N: int, m: int, q: int) -> tuple[float, float]:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -53,6 +54,21 @@ class TestExact:
         result = runner.invoke(main, ["exact", str(path)])
         assert result.exit_code == 2
         assert "line 1" in result.output
+
+    @pytest.mark.parametrize("doc", [
+        {"q": 2, "n": 2, "edges": [[0, 1, 0.5]]},  # no "field"
+        {"q": 2, "n": 2, "edges": [[0.5, 1, 0.5]], "field": []},  # fractional vertex id
+    ])
+    def test_schema_invalid_model_is_a_usage_error(self, runner, tmp_path, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        for args in (["exact"], ["reduce", "--variant", "antiferro", "--log-zhat", "1", "--seed", "1"],
+                     ["blowup", "--b", "4", "--d", "3", "--beta-hat", "1.0", "--seed", "3"]):
+            result = runner.invoke(main, [args[0], str(path), *args[1:]])
+            assert result.exit_code == 2
+            assert "Error" in result.output and str(path) in result.output
+            assert "Traceback" not in result.output
+            assert isinstance(result.exception, SystemExit)
 
     def test_budget_exit_code(self, runner, tmp_path):
         path = tmp_path / "big.json"
@@ -219,6 +235,36 @@ class TestBlowup:
         result = runner.invoke(main, args)
         assert result.exit_code == 0
         assert result.output == runner.invoke(main, args + ["--rho", "0.5"]).output
+
+    @pytest.mark.parametrize("graph, args, digest", [
+        # README's example: the all-port regime, one port per base edge side
+        ("cubic12", ["--b", "4", "--d", "3", "--beta-hat", "1.0", "--seed", "3"],
+         "8dc9291216c99c651c238861a510ca685a80c73a350e72c5a9cf9116cf531249"),
+        # all-port regime, three ports per base edge side
+        ("cubic12", ["--b", "10", "--d", "4", "--beta-hat", "0.25", "--seed", "5"],
+         "534247fe794055b6a83cc6e36731e3c61099d713965f3f39bb4abdad4c659e1b"),
+        # port-subset regime (2 of 16 ports per side), with a field
+        ("path3", ["--b", "16", "--d", "3", "--beta-hat", "1.0", "--seed", "7"],
+         "b6aa4a155284114a1e0716baee91d0eff50a4085dfccfbbad13f30ee6a9f1901"),
+        # q=3, two and four ports per base edge side on one vertex
+        ("cycle4", ["--b", "81", "--d", "5", "--beta-hat", "0.3", "--seed", "2"],
+         "64c8aed0631371b5fe71db51731a156ebcdcba9e766ebd0a4504d7ac1f30be9f"),
+    ])
+    def test_pinned_reports(self, runner, cubic12_path, tmp_path, graph, args, digest):
+        """sha256 of whole blow-up reports: the port wiring may change only
+        together with these digests."""
+        bases = {
+            "path3": SpinSystem(q=2, n=3, edges=((0, 1, 1.0), (1, 2, 1.0)),
+                                field=((0, 0, 0.4), (1, 0, 0.4), (2, 1, 0.4))),
+            "cycle4": SpinSystem(q=3, n=4, edges=((0, 1, 0.9), (1, 2, 0.5), (2, 3, 0.9), (0, 3, 0.5))),
+        }
+        path = cubic12_path
+        if graph in bases:
+            path = str(tmp_path / f"{graph}.json")
+            save_model(bases[graph], path)
+        result = runner.invoke(main, ["blowup", path, *args])
+        assert result.exit_code == 0
+        assert hashlib.sha256(result.output.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("beta_hat", ["0", "inf", "nan"])
     def test_bad_beta_hat_is_an_error(self, runner, cubic12_path, beta_hat):

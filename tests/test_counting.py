@@ -371,6 +371,43 @@ class TestReductionContract:
                 hubs.build_hub_instance(G, case, 0.9, 2, log_Zhat, enforce_guard=False)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("case", ["antiferro", "ferro-field", "potts"])
+def test_builders_reject_non_finite_couplings(case, bad):
+    """Instances assemble their full models only when read, but a coupling
+    that no model may carry is still an InvalidModelError at build."""
+    cycle = tuple((v, (v + 1) % 4) for v in range(4))
+    if case == "potts":
+        P = SpinSystem(q=3, n=4, edges=tuple((u, v, 0.5) for u, v in cycle))
+        for beta_cross, beta_H in ((bad, 1.0), (0.05, bad)):
+            with pytest.raises(InvalidModelError):
+                potts.make_potts_instance(P, 30, beta_cross, beta_H)
+        return
+    if case == "antiferro":
+        G = SpinSystem(q=2, n=4, edges=tuple((u, v, -0.6) for u, v in cycle))
+    else:
+        G = SpinSystem(q=2, n=4, edges=tuple((u, v, 0.8) for u, v in cycle),
+                       field=tuple((v, v % 2, 0.5) for v in range(4)))
+    for beta1, beta2 in ((None, bad), (1.1, bad), (bad, 0.7)):
+        with pytest.raises(InvalidModelError):
+            hubs.build_hub_instance(G, case, 0.9, 2, 0.0, beta1=beta1, beta2=beta2,
+                                    enforce_guard=False, strict_family=False)
+
+
+def test_builders_reject_negative_sizes():
+    """A negative clique size or path count is an InvalidModelError at build,
+    not a model that is never assembled."""
+    cycle = tuple((v, (v + 1) % 4) for v in range(4))
+    P = SpinSystem(q=3, n=4, edges=tuple((u, v, 0.5) for u, v in cycle))
+    with pytest.raises(InvalidModelError):
+        potts.make_potts_instance(P, -1, 0.05, 1.0)
+    G = SpinSystem(q=2, n=4, edges=tuple((u, v, -0.6) for u, v in cycle))
+    for n_uv, n_ss in ((-1, 3), (2, -1)):
+        with pytest.raises(InvalidModelError):
+            hubs.build_hub_instance(G, hubs.VARIANT_ANTIFERRO, 0.9, 2, 0.0, beta1=1.1, beta2=0.7,
+                                    n_uv=n_uv, n_ss=n_ss, enforce_guard=False, strict_family=False)
+
+
 def pinned_instance(case):
     """Small hub and Potts instances whose hidden draws and class tables are
     pinned by digest below."""

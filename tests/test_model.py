@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from spinlab.errors import InvalidConfigurationError, InvalidModelError
 from spinlab.model import (
+    MODEL_SCHEMA,
     Configuration,
     SpinSystem,
     classify_field,
@@ -132,6 +133,10 @@ class TestSerialization:
         doc[key] = [entry]
         with pytest.raises(jsonschema.ValidationError):
             model_from_dict(doc)
+
+    def test_schema_is_a_valid_2020_12_schema(self):
+        # model_from_dict builds its validator without checking the schema
+        jsonschema.Draft202012Validator.check_schema(MODEL_SCHEMA)
 
     def test_schema_accepts_integral_weights(self):
         m = model_from_dict({"q": 2, "n": 2, "edges": [[0, 1, 1]], "field": [[1, 0, 2]]})
