@@ -120,6 +120,7 @@ def cmd_meanfield_sweep(q, m_values, target_ratio, delta, out, fmt) -> None:
         crit = meanfield.find_critical_Bo(q)
         rows = []
         for m in m_values:
+            meanfield.check_clique_size(m)
             if target_ratio is not None:
                 beta = meanfield.solve_beta_H(m, q, target_ratio, delta)
             else:

@@ -1,9 +1,9 @@
 """Ferromagnetic mean-field (complete-graph) Potts analyzer.
 
 Signature enumeration, the majority/disordered/residual (M/D/S) phase split,
-the free-energy functional Phi, the coexistence coupling Bo (scaled so the
-per-edge coupling is Bo/m), and a bisection solver hitting a target
-Z^M/Z^D ratio.
+the free-energy functional Phi, the coexistence point in closed form (the
+coupling Bo, scaled so the per-edge coupling is Bo/m, and the majority
+fraction alpha_hat), and a bisection solver hitting a target Z^M/Z^D ratio.
 
 Window convention: the raw majority and disordered windows (half-width
 m^{3/4}) overlap at small m, but the split must partition the signature
@@ -11,7 +11,8 @@ space.  A signature inside both windows is assigned to the nearest phase
 center in Euclidean distance on count vectors (ties go to the disordered
 phase; a tie among majority branches splits the signature evenly between
 them), which is color-permutation symmetric and recovers the raw windows
-once they separate.
+once they separate.  Centers and distances are exact integers after scaling
+the counts by q(q-1), so every tie is decided exactly.
 
 Everything that does not depend on the coupling (log-multinomials,
 monochromatic edge counts, phase labels) is cached per key, so a solver
@@ -26,7 +27,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 from scipy.special import gammaln
 
 from .errors import BudgetExceededError, InvalidModelError, TargetUnreachableError
@@ -60,60 +60,13 @@ class CriticalPoint:
     alpha_hat: float
 
 
-def _psi1_grid(xs: np.ndarray, beta_scaled: float, q: int) -> np.ndarray:
-    """psi1 at every point of ``xs`` in one array expression (same arithmetic
-    as the scalar :func:`psi1`, without its simplex check)."""
-    y = (1.0 - xs) / (q - 1)
-    a = np.clip(np.column_stack([xs] + [y] * (q - 1)), 0.0, 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ent = -np.where(a > 0, a * np.log(np.where(a > 0, a, 1.0)), 0.0).sum(axis=1)
-    # row-wise a @ a through the same BLAS dot as phi's np.dot
-    sq = np.matmul(a[:, None, :], a[:, :, None])[:, 0, 0]
-    return ent + 0.5 * beta_scaled * sq
-
-
-def _majority_argmax(beta: float, q: int) -> tuple[float, float]:
-    """Argmax and value of psi1 over the majority branch (x well above 1/q)."""
-    x_lo = 1.0 / q + 0.3 * (1.0 - 1.0 / q)
-    xs = np.linspace(x_lo, 1.0 - 1e-12, 512)
-    k = int(np.argmax(_psi1_grid(xs, beta, q)))
-    lo = xs[max(0, k - 1)]
-    hi = xs[min(len(xs) - 1, k + 1)]
-    res = minimize_scalar(
-        lambda x: -psi1(float(x), beta, q),
-        bounds=(float(lo), float(hi)),
-        method="bounded",
-        options={"xatol": 1e-14},
-    )
-    return float(res.x), float(-res.fun)
-
-
-@lru_cache(maxsize=None)
 def find_critical_Bo(q: int) -> CriticalPoint:
-    """Scaled coexistence coupling Bo: the majority-branch maximum of psi1
-    equals its value at the uniform point, with the argmax strictly above 1/q."""
+    """Scaled coexistence coupling Bo = 2(q-1)/(q-2) ln(q-1) and the majority
+    fraction alpha_hat = (q-1)/q, where the majority-branch maximum of psi1
+    equals its value at the uniform point (Ellis & Wang 1990)."""
     if q < 3:
         raise InvalidModelError("phase coexistence requires q >= 3")
-
-    def height(beta: float) -> float:
-        _, val = _majority_argmax(beta, q)
-        return val - psi1(1.0 / q, beta, q)
-
-    lo, hi = 0.5, 4.0 * math.log(q) + 2.0
-    if height(lo) > 0 or height(hi) < 0:
-        raise TargetUnreachableError("coexistence bracket failed to enclose a root")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if height(mid) > 0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo < 1e-11:
-            break
-    else:
-        raise TargetUnreachableError("coexistence bisection did not converge")
-    bo = 0.5 * (lo + hi)
-    return CriticalPoint(Bo=bo, alpha_hat=_majority_argmax(bo, q)[0])
+    return CriticalPoint(Bo=2.0 * (q - 1) / (q - 2) * math.log(q - 1), alpha_hat=(q - 1) / q)
 
 
 # -- signature enumeration ---------------------------------------------------
@@ -180,42 +133,40 @@ def signature_log_weights(m: int, q: int, beta_H: float) -> tuple[np.ndarray, np
 def classify_signatures(sigs: np.ndarray, m: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     """Phase label (M/D/S) per signature plus fractional branch weights.
 
-    The majority centers put the coexistence fraction alpha_hat of
-    :func:`find_critical_Bo` on one color; every window has half-width
-    m^WINDOW_EXPONENT.  Returns ``(labels, branch_frac)`` where
-    ``branch_frac`` has shape (n_sigs, q); for an M signature the row is a
-    probability vector over majority branches (ties split evenly), else all
-    zero.
+    Majority branch j puts the coexistence fraction alpha_hat = (q-1)/q on
+    color j; every window has half-width w = m^WINDOW_EXPONENT.  With counts
+    scaled by k = q(q-1) every center is integral ((q-1)^2 m on the majority
+    color, m elsewhere, (q-1)m for D), so squared distances are exact int64
+    values, and an integer deviation is within k*w iff within floor(k*w).
+    Returns ``(labels, branch_frac)`` where ``branch_frac`` has shape
+    (n_sigs, q); for an M signature the row is a probability vector over
+    majority branches (ties split evenly), else all zero.
     """
-    alpha_hat = find_critical_Bo(q).alpha_hat
-    w = float(m) ** WINDOW_EXPONENT
-    minority = (1.0 - alpha_hat) * m / (q - 1)
-    centers_m = np.full((q, q), minority)
-    np.fill_diagonal(centers_m, alpha_hat * m)
-    center_d = np.full(q, m / q)
+    k = q * (q - 1)
+    num, den = (float(m) ** WINDOW_EXPONENT).as_integer_ratio()
+    half = num * k // den
+    scaled = sigs * k
 
-    in_d = np.all(np.abs(sigs - center_d) <= w, axis=1)
-    # in_m[:, j]: inside the window of majority branch j
-    in_m = np.zeros((len(sigs), q), dtype=bool)
-    for j in range(q):
-        in_m[:, j] = np.all(np.abs(sigs - centers_m[j]) <= w, axis=1)
-    any_m = in_m.any(axis=1)
+    def window_and_d2(center) -> tuple[np.ndarray, np.ndarray]:
+        dev = scaled - center
+        return np.abs(dev).max(axis=1) <= half, (dev * dev).sum(axis=1)
 
-    d2_d = ((sigs - center_d) ** 2).sum(axis=1).astype(float)
-    d2_m = np.full((len(sigs), q), np.inf)
+    in_d, d2_d = window_and_d2((q - 1) * m)
+    outside = np.iinfo(np.int64).max  # d2_m of a branch whose window misses the signature
+    d2_m = np.full((len(sigs), q), outside)
     for j in range(q):
-        d2_m[in_m[:, j], j] = ((sigs[in_m[:, j]] - centers_m[j]) ** 2).sum(axis=1)
+        in_j, d2 = window_and_d2(np.where(np.arange(q) == j, (q - 1) ** 2 * m, m))
+        d2_m[in_j, j] = d2[in_j]
     best_m = d2_m.min(axis=1)
 
     labels = np.full(len(sigs), PHASE_S, dtype=np.int8)
     labels[in_d] = PHASE_D
-    take_m = any_m & (~in_d | (best_m < d2_d))
+    take_m = (best_m < outside) & (~in_d | (best_m < d2_d))
     labels[take_m] = PHASE_M
 
     branch_frac = np.zeros((len(sigs), q), dtype=float)
-    if take_m.any():
-        tied = np.isclose(d2_m[take_m], best_m[take_m, None])
-        branch_frac[take_m] = tied / tied.sum(axis=1, keepdims=True)
+    tied = d2_m[take_m] == best_m[take_m, None]
+    branch_frac[take_m] = tied / tied.sum(axis=1, keepdims=True)
     return labels, branch_frac
 
 
@@ -268,10 +219,15 @@ def phase_classes(m: int, q: int) -> PhaseClasses:
     return PhaseClasses(_read_only(labels), members, tuple(branches))
 
 
-def phase_split(m: int, q: int, beta_H: float) -> PhaseSplit:
-    """Exact log partition values of the M/D/S phases of the complete graph K_m."""
+def check_clique_size(m: int) -> None:
+    """Reject a complete graph K_m with no vertices (m < 1)."""
     if m < 1:
         raise InvalidModelError("m must be >= 1")
+
+
+def phase_split(m: int, q: int, beta_H: float) -> PhaseSplit:
+    """Exact log partition values of the M/D/S phases of the complete graph K_m."""
+    check_clique_size(m)
     _, logw = signature_log_weights(m, q, beta_H)
     classes = phase_classes(m, q)
     log_ZM, log_ZD, log_ZS = (logsumexp(logw[idx]) for idx in classes.members)
@@ -287,8 +243,7 @@ def phase_split(m: int, q: int, beta_H: float) -> PhaseSplit:
 
 def log_ratio_g(m: int, q: int, beta_H: float) -> float:
     """g(beta_H) = log Z^M - log Z^D."""
-    if m < 1:
-        raise InvalidModelError("m must be >= 1")
+    check_clique_size(m)
     table = signature_table(m, q)
     members = phase_classes(m, q).members
     log_ZM, log_ZD = (
@@ -306,6 +261,7 @@ def solve_beta_H(m: int, q: int, target_R: float, delta: float) -> float:
     """
     if target_R <= 0 or not 0 < delta < 1:
         raise InvalidModelError("need target_R > 0 and delta in (0,1)")
+    check_clique_size(m)
     center = find_critical_Bo(q).Bo / m
     t_hi = math.log(target_R)
     t_lo = t_hi + math.log1p(-delta)

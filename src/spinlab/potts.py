@@ -130,6 +130,7 @@ def beta_interval(N: int, m: int, q: int) -> tuple[float, float]:
     """Admissible cross-coupling interval [c1*N/m, c2/(N*m^{3/4})] with
     c1 = 2 log q / α'' and c2 = δ/2, where α'' is the majority-minority
     margin of the coexistence fraction α̂ less the window slack 2*m^(-1/4)."""
+    meanfield.check_clique_size(m)
     alpha_hat = meanfield.find_critical_Bo(q).alpha_hat
     alpha_p = alpha_hat - (1.0 - alpha_hat) / (q - 1)
     alpha_pp = alpha_p - 2.0 * m ** (meanfield.WINDOW_EXPONENT - 1.0)

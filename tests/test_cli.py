@@ -113,6 +113,13 @@ class TestMeanfieldSweep:
         ratio = math.exp(row["log_ZM"] - row["log_ZD"])
         assert 0.9 * 10 <= ratio <= 10
 
+    @pytest.mark.parametrize("m", ["0", "-2"])
+    def test_empty_clique_is_an_error(self, runner, m):
+        result = runner.invoke(main, ["meanfield-sweep", "--q", "3", "--m", m])
+        assert result.exit_code == 1
+        assert "Error: m must be >= 1" in result.output
+        assert isinstance(result.exception, SystemExit)
+
 
 class TestReduce:
     def test_report_and_determinism(self, runner, cubic12_path):

@@ -1,12 +1,16 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from spinlab import meanfield as mf
 from spinlab.exact import partition_log, restricted_partition_log
-from spinlab.errors import BudgetExceededError, TargetUnreachableError
+from spinlab.errors import BudgetExceededError, InvalidModelError, TargetUnreachableError
 
 
 class TestCriticalPoint:
@@ -34,31 +38,29 @@ class TestCriticalPoint:
         ordered = mf.psi1(crit.alpha_hat, crit.Bo, 3)
         assert ordered == pytest.approx(disordered, abs=1e-9)
 
-
-class TestCoexistenceGrid:
-    @pytest.mark.parametrize("q", [3, 4, 5, 6])
-    def test_grid_matches_scalar_psi1(self, q):
-        x_lo = 1.0 / q + 0.3 * (1.0 - 1.0 / q)
-        xs = np.linspace(x_lo, 1.0 - 1e-12, 512)
-        for beta in (0.5, mf.find_critical_Bo(q).Bo, 4.0 * math.log(q) + 2.0):
-            grid = mf._psi1_grid(xs, beta, q)
-            scalar = np.array([mf.psi1(float(x), beta, q) for x in xs])
-            assert np.max(np.abs(grid - scalar)) <= 1e-15
-
     @pytest.mark.parametrize(
         "q, Bo, alpha_hat",
         [
-            (3, "2.772588722237109", "0.6666666646667371"),
-            (4, "3.295836866004783", "0.7500000027351296"),
-            (5, "3.6967849629858005", "0.8000000001316677"),
-            (6, "4.023594781087528", "0.8333333296676538"),
+            (3, "2.772588722239781", "0.6666666666666666"),
+            (4, "3.295836866004329", "0.75"),
+            (5, "3.6967849629863747", "0.8"),
+            (6, "4.023594781085251", "0.8333333333333334"),
         ],
+        ids=["q3", "q4", "q5", "q6"],
     )
     def test_critical_point_pinned(self, q, Bo, alpha_hat):
-        # values of the scalar-grid implementation, to the last bit
+        # closed-form values, to the last bit
         crit = mf.find_critical_Bo(q)
         assert repr(crit.Bo) == Bo
         assert repr(crit.alpha_hat) == alpha_hat
+
+    def test_import_leaves_scipy_optimize_unloaded(self):
+        # the closed form needs no optimiser; importing one costs every process
+        code = "import sys, spinlab; print('scipy.optimize' in sys.modules)"
+        src = os.path.dirname(os.path.dirname(mf.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert out.stdout.strip() == "False", out.stderr
 
 
 class TestSignatures:
@@ -210,12 +212,13 @@ class TestPhaseSplit:
         split90 = mf.phase_split(90, 3, mf.find_critical_Bo(3).Bo / 90)
         assert split90.log_ZS > -math.inf
 
-    def test_residual_threshold_is_m81(self):
-        # at q = 3 and beta_H = Bo/m the residual phase is empty up to m = 80
-        # and first nonempty at m = 81
+    def test_residual_threshold_is_m82(self):
+        # at q = 3 and beta_H = Bo/m the residual phase is empty up to m = 81
+        # and first nonempty at m = 82
         bo = mf.find_critical_Bo(3).Bo
-        assert mf.phase_split(80, 3, bo / 80).log_ZS == -math.inf
-        assert math.isfinite(mf.phase_split(81, 3, bo / 81).log_ZS)
+        assert mf.phase_split(81, 3, bo / 81).log_ZS == -math.inf
+        assert math.isfinite(mf.phase_split(82, 3, bo / 82).log_ZS)
+        assert len(mf.phase_classes(82, 3).members[mf.PHASE_S]) == 6
 
     def test_gap_is_strongly_negative_when_defined(self):
         # the residual phase is exponentially dominated: gap <= -0.7 sqrt(m)
@@ -223,6 +226,51 @@ class TestPhaseSplit:
         for m in (90, 120, 200):
             gap, root_m = mf.metastability_report(m, 3, crit.Bo / m)
             assert gap < -0.7 * root_m
+
+
+def _fraction_labels(m, q):
+    """Labels and branch fractions from the documented rule in exact rationals:
+    centers m/q (D) and (q-1)m/q on one color, m/(q(q-1)) on the others (M),
+    half-width the float m^(3/4) taken exactly, ties to D."""
+    w = Fraction(float(m) ** 0.75)
+    center_d = [Fraction(m, q)] * q
+    centers_m = [
+        [Fraction((q - 1) * m, q) if i == j else Fraction(m, q * (q - 1)) for i in range(q)]
+        for j in range(q)
+    ]
+
+    def inside(s, c):
+        return all(abs(x - y) <= w for x, y in zip(s, c))
+
+    def d2(s, c):
+        return sum((x - y) ** 2 for x, y in zip(s, c))
+
+    labels, fracs = [], []
+    for s in mf.enumerate_signatures(m, q).tolist():
+        d2_m = [d2(s, c) if inside(s, c) else None for c in centers_m]
+        near = [v for v in d2_m if v is not None]
+        if near and (not inside(s, center_d) or min(near) < d2(s, center_d)):
+            tied = [v == min(near) for v in d2_m]
+            labels.append(mf.PHASE_M)
+            fracs.append([Fraction(t, sum(tied)) for t in tied])
+        else:
+            labels.append(mf.PHASE_D if inside(s, center_d) else mf.PHASE_S)
+            fracs.append([Fraction(0)] * q)
+    return labels, fracs
+
+
+class TestExactLabels:
+    @pytest.mark.parametrize(
+        "m, q", [(16, 3), (30, 3), (81, 3), (82, 3), (6, 4), (12, 4), (20, 4), (5, 5), (10, 5)]
+    )
+    def test_phase_classes_match_fraction_brute_force(self, m, q):
+        labels, fracs = _fraction_labels(m, q)
+        classes = mf.phase_classes(m, q)
+        assert classes.labels.tolist() == labels
+        for j, (idx, log_frac) in enumerate(classes.branches):
+            expected = [(i, float(f[j])) for i, f in enumerate(fracs) if f[j] > 0]
+            assert idx.tolist() == [i for i, _ in expected]
+            assert log_frac.tolist() == np.log([f for _, f in expected]).tolist()
 
 
 class TestFactA2Bracket:
@@ -250,6 +298,11 @@ class TestSolveBetaH:
         betas = np.linspace(0.8, 1.2, 5) * mf.find_critical_Bo(q).Bo / m
         vals = [mf.log_ratio_g(m, q, b) for b in betas]
         assert all(a < b for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("m", [0, -3])
+    def test_empty_clique_is_an_error(self, m):
+        with pytest.raises(InvalidModelError, match="m must be >= 1"):
+            mf.solve_beta_H(m, 3, 1.0, 0.1)
 
     def test_unreachable_target_raises(self):
         with pytest.raises(TargetUnreachableError):

@@ -156,6 +156,13 @@ class TestIntervalAndGuard:
         with pytest.raises(InfeasibleParametersError):
             potts.beta_interval(4, 100, 3)
 
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_empty_clique_is_an_error(self, m):
+        with pytest.raises(InvalidModelError, match="m must be >= 1"):
+            potts.build_potts_instance(
+                base_graph(N=4), m=m, epsilon=0.9, L=2, log_Zhat=5.0, enforce_guard=False
+            )
+
     def test_interval_empty_at_desk_scale(self):
         G = base_graph(N=3)
         with pytest.raises((InfeasibleParametersError, GuardViolation)):
