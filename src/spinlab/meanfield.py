@@ -15,8 +15,10 @@ once they separate.  Centers and distances are exact integers after scaling
 the counts by q(q-1), so every tie is decided exactly.
 
 Everything that does not depend on the coupling (log-multinomials,
-monochromatic edge counts, phase labels) is cached per key, so a solver
-step costs a few array operations and two logsumexps.
+monochromatic edge counts, phase labels) is cached per key.  Each phase part
+is also cached as its density of states, Z(beta) = sum_e g(e) exp(beta e)
+over its distinct monochromatic-edge counts e, so a solver step sums over at
+most C(m,2)+1 energy levels per part instead of over every signature.
 """
 
 from __future__ import annotations
@@ -183,6 +185,10 @@ class PhaseSplit:
 
     @property
     def gap(self) -> float:
+        """log Z^S - min(log Z^M, log Z^D); -inf when the residual phase is
+        empty (fully suppressed), even where Z^D is empty too."""
+        if self.log_ZS == -math.inf:
+            return -math.inf
         return self.log_ZS - min(self.log_ZM, self.log_ZD)
 
 
@@ -225,32 +231,72 @@ def check_clique_size(m: int) -> None:
         raise InvalidModelError("m must be >= 1")
 
 
+@dataclass(frozen=True)
+class PhaseLevels:
+    """Density of states of each phase part of K_m, the beta-free half of
+    Z(beta) = sum_e g(e) * exp(beta * e).
+
+    Each part is ``(e, log_g)``: the distinct monochromatic-edge counts ``e``
+    (ascending, float64) of its signatures, and the log of the summed
+    multinomial(m; s) (times the branch fraction, for a branch) at each count.
+    ``parts`` holds M, D and S; ``branches[j]`` majority branch j.
+    """
+
+    parts: tuple[tuple[np.ndarray, np.ndarray], ...]
+    branches: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+
+def _levels(mono_edges: np.ndarray, log_w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group log-weights by edge count: a stable sort by count, then per
+    level the peak, the shifted exp sum and log(sum) + peak, in that order."""
+    order = np.argsort(mono_edges, kind="stable")
+    e, x = mono_edges[order], log_w[order]
+    starts = np.flatnonzero(np.diff(e, prepend=-1))
+    peak = np.maximum.reduceat(x, starts)
+    s = np.add.reduceat(np.exp(x - np.repeat(peak, np.diff(starts, append=len(x)))), starts)
+    return _read_only(e[starts].astype(float)), _read_only(np.log(s) + peak)
+
+
+@lru_cache(maxsize=64)
+def phase_levels(m: int, q: int) -> PhaseLevels:
+    """Cached :class:`PhaseLevels` of K_m with q colors (read-only arrays):
+    at most C(m, 2) + 1 levels per part, however many signatures it holds."""
+    table = signature_table(m, q)
+    classes = phase_classes(m, q)
+    return PhaseLevels(
+        parts=tuple(
+            _levels(table.mono_edges[idx], table.log_multi[idx]) for idx in classes.members
+        ),
+        branches=tuple(
+            _levels(table.mono_edges[idx], table.log_multi[idx] + log_frac)
+            for idx, log_frac in classes.branches
+        ),
+    )
+
+
+def _log_Z(level: tuple[np.ndarray, np.ndarray], beta_H: float) -> float:
+    e, log_g = level
+    return logsumexp(log_g + float(beta_H) * e)
+
+
 def phase_split(m: int, q: int, beta_H: float) -> PhaseSplit:
     """Exact log partition values of the M/D/S phases of the complete graph K_m."""
     check_clique_size(m)
-    _, logw = signature_log_weights(m, q, beta_H)
-    classes = phase_classes(m, q)
-    log_ZM, log_ZD, log_ZS = (logsumexp(logw[idx]) for idx in classes.members)
+    levels = phase_levels(m, q)
+    log_ZM, log_ZD, log_ZS = (_log_Z(part, beta_H) for part in levels.parts)
     return PhaseSplit(
         log_ZM=log_ZM,
         log_ZD=log_ZD,
         log_ZS=log_ZS,
-        log_branches=tuple(
-            logsumexp(logw[idx] + log_frac) for idx, log_frac in classes.branches
-        ),
+        log_branches=tuple(_log_Z(branch, beta_H) for branch in levels.branches),
     )
 
 
 def log_ratio_g(m: int, q: int, beta_H: float) -> float:
     """g(beta_H) = log Z^M - log Z^D."""
     check_clique_size(m)
-    table = signature_table(m, q)
-    members = phase_classes(m, q).members
-    log_ZM, log_ZD = (
-        logsumexp(table.log_multi[idx] + float(beta_H) * table.mono_edges[idx])
-        for idx in (members[PHASE_M], members[PHASE_D])
-    )
-    return log_ZM - log_ZD
+    parts = phase_levels(m, q).parts
+    return _log_Z(parts[PHASE_M], beta_H) - _log_Z(parts[PHASE_D], beta_H)
 
 
 def solve_beta_H(m: int, q: int, target_R: float, delta: float) -> float:
@@ -259,7 +305,7 @@ def solve_beta_H(m: int, q: int, target_R: float, delta: float) -> float:
     The bracket is Bo/m +- c' * m^{-3/2} with c' doubled adaptively from 1
     up to 64.
     """
-    if target_R <= 0 or not 0 < delta < 1:
+    if not target_R > 0 or not 0 < delta < 1:
         raise InvalidModelError("need target_R > 0 and delta in (0,1)")
     check_clique_size(m)
     center = find_critical_Bo(q).Bo / m

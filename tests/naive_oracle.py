@@ -4,7 +4,10 @@ Deliberately written with plain Python loops, dicts and itertools (no numpy,
 no code shared with the package) so that agreement with the fast engine is
 meaningful.  The one exception is the last section: the hidden samplers as
 they were before their per-instance draw tables, which pin the generator
-stream and so have to call numpy's ``Generator`` the way they did.
+stream and so have to call numpy's ``Generator`` the way they did.  The
+mean-field sums read the package's per-signature weights and phase labels
+(each checked against brute force elsewhere) and sum them signature by
+signature, where the package sums over energy levels.
 """
 
 import itertools
@@ -12,6 +15,8 @@ import math
 
 import numpy as np
 from scipy.special import logsumexp
+
+from spinlab import meanfield as mf
 
 
 def naive_log_Z(q, n, edges, field):
@@ -173,3 +178,43 @@ def _reference_place_colors(n, sig, rng):
     out = np.empty(n, dtype=np.int64)
     out[rng.permutation(n)] = np.repeat(np.arange(len(sig)), sig)
     return out
+
+
+# -- reference mean-field sums -------------------------------------------------
+# Per-signature sums over K_m's color-count signatures: the solver's ratio the
+# way it was summed before the energy-level tables, and an fsum phase split.
+
+
+def reference_log_ratio_g(m, q, beta_H):
+    """log Z^M - log Z^D, one logsumexp over the signatures of each phase."""
+    table = mf.signature_table(m, q)
+    labels = mf.phase_classes(m, q).labels
+    log_w = table.log_multi + float(beta_H) * table.mono_edges
+    return float(logsumexp(log_w[labels == mf.PHASE_M])) - float(
+        logsumexp(log_w[labels == mf.PHASE_D])
+    )
+
+
+def _fsum_log(log_w):
+    if not log_w:
+        return float("-inf")
+    shift = max(log_w)
+    return shift + math.log(math.fsum(math.exp(x - shift) for x in log_w))
+
+
+def reference_phase_split(m, q, beta_H):
+    """((log Z^M, log Z^D, log Z^S), per-branch log Z) of K_m, each an fsum of
+    multinomial(m; s) * branch fraction * exp(beta_H * e(s)) over signatures."""
+    table = mf.signature_table(m, q)
+    labels, frac = mf.classify_signatures(table.sigs, m, q)
+    log_w = (table.log_multi + float(beta_H) * table.mono_edges).tolist()
+    labels = labels.tolist()
+    parts = tuple(
+        _fsum_log([w for w, lab in zip(log_w, labels) if lab == phase])
+        for phase in (mf.PHASE_M, mf.PHASE_D, mf.PHASE_S)
+    )
+    branches = tuple(
+        _fsum_log([w + math.log(f) for w, f in zip(log_w, frac[:, j].tolist()) if f > 0])
+        for j in range(q)
+    )
+    return parts, branches

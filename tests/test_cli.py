@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import math
 
@@ -112,6 +114,20 @@ class TestMeanfieldSweep:
         row = json.loads(result.output.strip().splitlines()[0])
         ratio = math.exp(row["log_ZM"] - row["log_ZD"])
         assert 0.9 * 10 <= ratio <= 10
+
+    def test_single_vertex_gap_is_minus_inf(self, runner):
+        result = runner.invoke(main, ["meanfield-sweep", "--q", "3", "--m", "1"])
+        assert result.exit_code == 0
+        assert "nan" not in result.output
+        assert float(next(csv.DictReader(io.StringIO(result.output)))["gap"]) == -math.inf
+
+    def test_nan_target_ratio_is_an_error(self, runner):
+        result = runner.invoke(
+            main, ["meanfield-sweep", "--q", "3", "--m", "8", "--target-ratio", "nan"]
+        )
+        assert result.exit_code == 1
+        assert "Error: need target_R > 0" in result.output
+        assert isinstance(result.exception, SystemExit)
 
     @pytest.mark.parametrize("m", ["0", "-2"])
     def test_empty_clique_is_an_error(self, runner, m):

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from naive_oracle import reference_log_ratio_g, reference_phase_split
 
 from spinlab import meanfield as mf
 from spinlab.exact import partition_log, restricted_partition_log
@@ -157,6 +158,40 @@ class TestCachedTables:
         assert all(idx.dtype == np.int32 for idx, _ in classes.branches)
 
 
+def _level_cases():
+    """TestCachedTables' cases plus a size grid under 2e5 signatures: empty
+    residual and disordered phases, q=3 ties and split branch fractions."""
+    cases = list(TestCachedTables.CASES)
+    for m, q in itertools.product((1, 2, 10, 40, 60, 81, 82, 120, 200, 400), (3, 4, 5)):
+        if math.comb(m + q - 1, q - 1) < 2 * 10**5:
+            cases += [(m, q, beta_mult) for beta_mult in (0.9, 1.0, 1.1)]
+    return cases
+
+
+class TestPhaseLevels:
+    @pytest.mark.parametrize("m, q, beta_mult", _level_cases())
+    def test_phase_split_within_4_ulp_of_fsum_reference(self, m, q, beta_mult):
+        beta = beta_mult * mf.find_critical_Bo(q).Bo / m
+        split = mf.phase_split(m, q, beta)
+        parts, branches = reference_phase_split(m, q, beta)
+        got = (split.log_ZM, split.log_ZD, split.log_ZS, *split.log_branches)
+        for value, ref in zip(got, parts + branches, strict=True):
+            if ref == -math.inf:
+                assert value == -math.inf
+            else:
+                assert abs(value - ref) <= 4 * math.ulp(ref), (value, ref)
+
+    @pytest.mark.parametrize("m, q", [(1, 3), (82, 3), (20, 4)])
+    def test_levels_are_read_only_ascending_float64(self, m, q):
+        levels = mf.phase_levels(m, q)
+        assert len(levels.parts) == 3 and len(levels.branches) == q
+        for e, log_g in levels.parts + levels.branches:
+            assert e.dtype == log_g.dtype == np.float64
+            assert e.shape == log_g.shape
+            assert np.all(np.diff(e) > 0)
+            assert not e.flags.writeable and not log_g.flags.writeable
+
+
 class TestPhaseSplit:
     @pytest.mark.parametrize("beta_mult", [0.5, 0.9, 1.0, 1.1, 1.5])
     def test_total_matches_complete_graph(self, beta_mult):
@@ -219,6 +254,14 @@ class TestPhaseSplit:
         assert mf.phase_split(81, 3, bo / 81).log_ZS == -math.inf
         assert math.isfinite(mf.phase_split(82, 3, bo / 82).log_ZS)
         assert len(mf.phase_classes(82, 3).members[mf.PHASE_S]) == 6
+
+    @pytest.mark.parametrize("q", [3, 4, 5, 6])
+    def test_gap_of_single_vertex_is_minus_inf(self, q):
+        # at m=1 every signature is majority: Z^S and Z^D are both empty, and
+        # an empty residual phase is fully suppressed (gap -inf, not nan)
+        split = mf.phase_split(1, q, mf.find_critical_Bo(q).Bo)
+        assert split.log_ZS == split.log_ZD == -math.inf
+        assert split.gap == -math.inf
 
     def test_gap_is_strongly_negative_when_defined(self):
         # the residual phase is exponentially dominated: gap <= -0.7 sqrt(m)
@@ -307,3 +350,29 @@ class TestSolveBetaH:
     def test_unreachable_target_raises(self):
         with pytest.raises(TargetUnreachableError):
             mf.solve_beta_H(10, 3, 1e300, 0.1)
+
+    def test_nan_target_is_an_error(self, monkeypatch):
+        # rejected before any ratio evaluation
+        calls = []
+        monkeypatch.setattr(mf, "log_ratio_g", lambda *args: calls.append(args))
+        with pytest.raises(InvalidModelError, match="target_R > 0"):
+            mf.solve_beta_H(80, 4, math.nan, 0.5)
+        assert calls == []
+
+    @pytest.mark.parametrize("m, q", [(30, 3), (80, 4), (40, 3), (20, 4)])
+    def test_solution_pinned_to_per_signature_reference(self, monkeypatch, m, q):
+        # 75 seeded targets per size: level sums and per-signature sums must
+        # take the same bisection steps to the same beta_H, bit for bit
+        def solve(g, log_R):
+            calls = []
+
+            def counted(*args):
+                calls.append(args)
+                return g(*args)
+
+            monkeypatch.setattr(mf, "log_ratio_g", counted)
+            return mf.solve_beta_H(m, q, math.exp(log_R), 0.5), len(calls)
+
+        level_g = mf.log_ratio_g
+        for log_R in np.random.default_rng([m, q]).uniform(-0.5, 2.5, size=75):
+            assert solve(level_g, log_R) == solve(reference_log_ratio_g, log_R), log_R
