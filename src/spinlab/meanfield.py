@@ -9,10 +9,13 @@ Window convention: the raw majority and disordered windows (half-width
 m^{3/4}) overlap at small m, but the split must partition the signature
 space.  A signature inside both windows is assigned to the nearest phase
 center in Euclidean distance on count vectors (ties go to the disordered
-phase; a tie among majority branches splits the signature evenly between
-them), which is color-permutation symmetric and recovers the raw windows
-once they separate.  Centers and distances are exact integers after scaling
-the counts by q(q-1), so every tie is decided exactly.
+phase), which is color-permutation symmetric and recovers the raw windows
+once they separate.  The nearest majority center is that of the signature's
+largest color count (the first such color).  No signature labelled M has two
+nearest majority centers: one inside two majority windows is inside the D
+window too, where a majority center wins only with more than m/2 of the
+counts.  Centers and distances are exact integers after scaling the counts
+by q(q-1), so every tie is decided exactly.
 
 Everything that does not depend on the coupling (log-multinomials,
 monochromatic edge counts, phase labels) is cached per key.  Each phase part
@@ -126,50 +129,38 @@ def signature_table(m: int, q: int) -> SignatureTable:
     return SignatureTable(sigs, _read_only(log_multi), _read_only(mono_edges))
 
 
-def signature_log_weights(m: int, q: int, beta_H: float) -> tuple[np.ndarray, np.ndarray]:
-    """Signatures and log of multinomial(m; s) * exp(beta_H * sum C(s_i,2))."""
-    table = signature_table(m, q)
-    return table.sigs, table.log_multi + float(beta_H) * table.mono_edges
-
-
-def classify_signatures(sigs: np.ndarray, m: int, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """Phase label (M/D/S) per signature plus fractional branch weights.
+def classify_signatures(sigs: np.ndarray, m: int, q: int) -> np.ndarray:
+    """Phase label (M/D/S) per signature, as int8.
 
     Majority branch j puts the coexistence fraction alpha_hat = (q-1)/q on
     color j; every window has half-width w = m^WINDOW_EXPONENT.  With counts
     scaled by k = q(q-1) every center is integral ((q-1)^2 m on the majority
     color, m elsewhere, (q-1)m for D), so squared distances are exact int64
     values, and an integer deviation is within k*w iff within floor(k*w).
-    Returns ``(labels, branch_frac)`` where ``branch_frac`` has shape
-    (n_sigs, q); for an M signature the row is a probability vector over
-    majority branches (ties split evenly), else all zero.
+
+    Only the branch of the largest count is measured: branch i is nearer than
+    branch j iff s_i > s_j, and its window holds every signature that any
+    branch window holds.
     """
     k = q * (q - 1)
     num, den = (float(m) ** WINDOW_EXPONENT).as_integer_ratio()
     half = num * k // den
-    scaled = sigs * k
 
-    def window_and_d2(center) -> tuple[np.ndarray, np.ndarray]:
-        dev = scaled - center
+    def window_and_d2(dev) -> tuple[np.ndarray, np.ndarray]:
         return np.abs(dev).max(axis=1) <= half, (dev * dev).sum(axis=1)
 
-    in_d, d2_d = window_and_d2((q - 1) * m)
-    outside = np.iinfo(np.int64).max  # d2_m of a branch whose window misses the signature
-    d2_m = np.full((len(sigs), q), outside)
-    for j in range(q):
-        in_j, d2 = window_and_d2(np.where(np.arange(q) == j, (q - 1) ** 2 * m, m))
-        d2_m[in_j, j] = d2[in_j]
-    best_m = d2_m.min(axis=1)
+    dev = sigs * k - (q - 1) * m  # from the D center
+    in_d, d2_d = window_and_d2(dev)
+    # from the majority center of the largest count: m on every other color
+    # and (q-1)^2 m = m + q(q-2)m on that one
+    dev += (q - 2) * m
+    dev[np.arange(len(sigs)), sigs.argmax(axis=1)] -= q * (q - 2) * m
+    in_m, d2_m = window_and_d2(dev)
 
     labels = np.full(len(sigs), PHASE_S, dtype=np.int8)
     labels[in_d] = PHASE_D
-    take_m = (best_m < outside) & (~in_d | (best_m < d2_d))
-    labels[take_m] = PHASE_M
-
-    branch_frac = np.zeros((len(sigs), q), dtype=float)
-    tied = d2_m[take_m] == best_m[take_m, None]
-    branch_frac[take_m] = tied / tied.sum(axis=1, keepdims=True)
-    return labels, branch_frac
+    labels[in_m & (~in_d | (d2_m < d2_d))] = PHASE_M
+    return labels
 
 
 @dataclass(frozen=True)
@@ -177,7 +168,6 @@ class PhaseSplit:
     log_ZM: float
     log_ZD: float
     log_ZS: float
-    log_branches: tuple[float, ...]
 
     @property
     def log_Z(self) -> float:
@@ -194,17 +184,12 @@ class PhaseSplit:
 
 @dataclass(frozen=True)
 class PhaseClasses:
-    """Signature phase labels and the selections that read them.
-
+    """Signature phase labels and the selections that read them:
     ``members[label]`` holds the signature indices of phase ``label`` in
-    increasing order; ``branches[j]`` is ``(indices, log_frac)`` for majority
-    branch ``j``, where ``log_frac`` is the log of each signature's branch
-    fraction (0 where the signature belongs to branch ``j`` alone).
-    """
+    increasing order."""
 
     labels: np.ndarray
     members: tuple[np.ndarray, np.ndarray, np.ndarray]
-    branches: tuple[tuple[np.ndarray, np.ndarray], ...]
 
 
 @lru_cache(maxsize=64)
@@ -212,38 +197,18 @@ def phase_classes(m: int, q: int) -> PhaseClasses:
     """Cached :func:`classify_signatures` result in compact form (int8 labels,
     int32 indices, read-only arrays); none of it depends on beta_H.  Pass both
     arguments positionally so equal keys share one cache entry."""
-    labels, branch_frac = classify_signatures(enumerate_signatures(m, q), m, q)
+    labels = classify_signatures(enumerate_signatures(m, q), m, q)
     members = tuple(
         _read_only(np.flatnonzero(labels == lab).astype(np.int32))
         for lab in (PHASE_M, PHASE_D, PHASE_S)
     )
-    branches = []
-    for j in range(q):
-        idx = np.flatnonzero(branch_frac[:, j] > 0)
-        log_frac = _read_only(np.log(branch_frac[idx, j]))
-        branches.append((_read_only(idx.astype(np.int32)), log_frac))
-    return PhaseClasses(_read_only(labels), members, tuple(branches))
+    return PhaseClasses(_read_only(labels), members)
 
 
 def check_clique_size(m: int) -> None:
     """Reject a complete graph K_m with no vertices (m < 1)."""
     if m < 1:
         raise InvalidModelError("m must be >= 1")
-
-
-@dataclass(frozen=True)
-class PhaseLevels:
-    """Density of states of each phase part of K_m, the beta-free half of
-    Z(beta) = sum_e g(e) * exp(beta * e).
-
-    Each part is ``(e, log_g)``: the distinct monochromatic-edge counts ``e``
-    (ascending, float64) of its signatures, and the log of the summed
-    multinomial(m; s) (times the branch fraction, for a branch) at each count.
-    ``parts`` holds M, D and S; ``branches[j]`` majority branch j.
-    """
-
-    parts: tuple[tuple[np.ndarray, np.ndarray], ...]
-    branches: tuple[tuple[np.ndarray, np.ndarray], ...]
 
 
 def _levels(mono_edges: np.ndarray, log_w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -258,19 +223,18 @@ def _levels(mono_edges: np.ndarray, log_w: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 @lru_cache(maxsize=64)
-def phase_levels(m: int, q: int) -> PhaseLevels:
-    """Cached :class:`PhaseLevels` of K_m with q colors (read-only arrays):
-    at most C(m, 2) + 1 levels per part, however many signatures it holds."""
+def phase_levels(m: int, q: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Density of states of the M, D and S parts of K_m, the beta-free half
+    of Z(beta) = sum_e g(e) * exp(beta * e); cached, read-only arrays.
+
+    Each part is ``(e, log_g)``: the distinct monochromatic-edge counts ``e``
+    (ascending, float64) of its signatures, at most C(m, 2) + 1 of them, and
+    the log of the summed multinomial(m; s) at each count.
+    """
     table = signature_table(m, q)
-    classes = phase_classes(m, q)
-    return PhaseLevels(
-        parts=tuple(
-            _levels(table.mono_edges[idx], table.log_multi[idx]) for idx in classes.members
-        ),
-        branches=tuple(
-            _levels(table.mono_edges[idx], table.log_multi[idx] + log_frac)
-            for idx, log_frac in classes.branches
-        ),
+    return tuple(
+        _levels(table.mono_edges[idx], table.log_multi[idx])
+        for idx in phase_classes(m, q).members
     )
 
 
@@ -282,20 +246,13 @@ def _log_Z(level: tuple[np.ndarray, np.ndarray], beta_H: float) -> float:
 def phase_split(m: int, q: int, beta_H: float) -> PhaseSplit:
     """Exact log partition values of the M/D/S phases of the complete graph K_m."""
     check_clique_size(m)
-    levels = phase_levels(m, q)
-    log_ZM, log_ZD, log_ZS = (_log_Z(part, beta_H) for part in levels.parts)
-    return PhaseSplit(
-        log_ZM=log_ZM,
-        log_ZD=log_ZD,
-        log_ZS=log_ZS,
-        log_branches=tuple(_log_Z(branch, beta_H) for branch in levels.branches),
-    )
+    return PhaseSplit(*(_log_Z(part, beta_H) for part in phase_levels(m, q)))
 
 
 def log_ratio_g(m: int, q: int, beta_H: float) -> float:
     """g(beta_H) = log Z^M - log Z^D."""
     check_clique_size(m)
-    parts = phase_levels(m, q).parts
+    parts = phase_levels(m, q)
     return _log_Z(parts[PHASE_M], beta_H) - _log_Z(parts[PHASE_D], beta_H)
 
 

@@ -203,18 +203,12 @@ def _fsum_log(log_w):
 
 
 def reference_phase_split(m, q, beta_H):
-    """((log Z^M, log Z^D, log Z^S), per-branch log Z) of K_m, each an fsum of
-    multinomial(m; s) * branch fraction * exp(beta_H * e(s)) over signatures."""
+    """(log Z^M, log Z^D, log Z^S) of K_m, each an fsum of
+    multinomial(m; s) * exp(beta_H * e(s)) over the phase's signatures."""
     table = mf.signature_table(m, q)
-    labels, frac = mf.classify_signatures(table.sigs, m, q)
+    labels = mf.classify_signatures(table.sigs, m, q).tolist()
     log_w = (table.log_multi + float(beta_H) * table.mono_edges).tolist()
-    labels = labels.tolist()
-    parts = tuple(
+    return tuple(
         _fsum_log([w for w, lab in zip(log_w, labels) if lab == phase])
         for phase in (mf.PHASE_M, mf.PHASE_D, mf.PHASE_S)
     )
-    branches = tuple(
-        _fsum_log([w + math.log(f) for w, f in zip(log_w, frac[:, j].tolist()) if f > 0])
-        for j in range(q)
-    )
-    return parts, branches

@@ -91,7 +91,7 @@ def test_criterion_02_meanfield_exactness():
         model = mf.explicit_complete_graph(m, q, beta_H)
 
         sigs = mf.enumerate_signatures(m, q)
-        labels, _ = mf.classify_signatures(sigs, m, q)
+        labels = mf.classify_signatures(sigs, m, q)
         label_of = {tuple(sig): lab for sig, lab in zip(sigs.tolist(), labels)}
 
         def pred_for(target):

@@ -72,10 +72,9 @@ class TestSignatures:
 
     def test_weights_total(self):
         # multinomial expansion: total over signatures equals q^m at beta=0
-        _, lws = mf.signature_log_weights(7, 3, 0.0)
         from scipy.special import logsumexp
 
-        assert logsumexp(lws) == pytest.approx(7 * math.log(3))
+        assert logsumexp(mf.signature_table(7, 3).log_multi) == pytest.approx(7 * math.log(3))
 
     def test_budget_error_reports_the_signature_count(self):
         # C(10003, 3) ~ 2^37.3 signatures against a cap of log2(5e6) ~ 22.25 bits
@@ -100,17 +99,14 @@ def _reference_split(m, q, beta):
     """Uncached phase split: classify, then mask-and-logsumexp per part."""
     from scipy.special import logsumexp
 
-    sigs, logw = mf.signature_log_weights(m, q, beta)
-    labels, frac = mf.classify_signatures(sigs, m, q)
+    table = mf.signature_table(m, q)
+    logw = table.log_multi + beta * table.mono_edges
+    labels = mf.classify_signatures(table.sigs, m, q)
 
-    def part(sel, extra=0.0):
-        return float(logsumexp(logw[sel] + extra)) if sel.any() else -math.inf
+    def part(sel):
+        return float(logsumexp(logw[sel])) if sel.any() else -math.inf
 
-    parts = tuple(part(labels == lab) for lab in (mf.PHASE_M, mf.PHASE_D, mf.PHASE_S))
-    branches = tuple(
-        part(frac[:, j] > 0, np.log(frac[frac[:, j] > 0, j])) for j in range(q)
-    )
-    return parts, branches
+    return tuple(part(labels == lab) for lab in (mf.PHASE_M, mf.PHASE_D, mf.PHASE_S))
 
 
 class TestCachedTables:
@@ -127,24 +123,20 @@ class TestCachedTables:
     @pytest.mark.parametrize("m, q, beta_mult", CASES)
     def test_phase_split_equals_uncached_reference(self, m, q, beta_mult):
         beta = beta_mult * mf.find_critical_Bo(q).Bo / m
-        parts, branches = _reference_split(m, q, beta)
         split = mf.phase_split(m, q, beta)
-        assert (split.log_ZM, split.log_ZD, split.log_ZS) == parts
-        assert split.log_branches == branches
+        assert (split.log_ZM, split.log_ZD, split.log_ZS) == _reference_split(m, q, beta)
 
     @pytest.mark.parametrize("m, q, beta_mult", CASES)
     def test_log_ratio_g_equals_uncached_reference(self, m, q, beta_mult):
         beta = beta_mult * mf.find_critical_Bo(q).Bo / m
-        (log_zm, log_zd, _), _ = _reference_split(m, q, beta)
+        log_zm, log_zd, _ = _reference_split(m, q, beta)
         assert mf.log_ratio_g(m, q, beta) == log_zm - log_zd
 
     def test_shared_arrays_are_read_only(self):
         table = mf.signature_table(10, 3)
         classes = mf.phase_classes(10, 3)
         arrays = [mf.enumerate_signatures(10, 3), table.sigs, table.log_multi,
-                  table.mono_edges, classes.labels, *classes.members,
-                  *(idx for idx, _ in classes.branches),
-                  *(lf for _, lf in classes.branches)]
+                  table.mono_edges, classes.labels, *classes.members]
         for a in arrays:
             with pytest.raises(ValueError):
                 a[0] = 0
@@ -155,12 +147,11 @@ class TestCachedTables:
         assert table.mono_edges.dtype == np.int32
         assert classes.labels.dtype == np.int8
         assert all(idx.dtype == np.int32 for idx in classes.members)
-        assert all(idx.dtype == np.int32 for idx, _ in classes.branches)
 
 
 def _level_cases():
     """TestCachedTables' cases plus a size grid under 2e5 signatures: empty
-    residual and disordered phases, q=3 ties and split branch fractions."""
+    residual and disordered phases and q=3 ties."""
     cases = list(TestCachedTables.CASES)
     for m, q in itertools.product((1, 2, 10, 40, 60, 81, 82, 120, 200, 400), (3, 4, 5)):
         if math.comb(m + q - 1, q - 1) < 2 * 10**5:
@@ -173,9 +164,8 @@ class TestPhaseLevels:
     def test_phase_split_within_4_ulp_of_fsum_reference(self, m, q, beta_mult):
         beta = beta_mult * mf.find_critical_Bo(q).Bo / m
         split = mf.phase_split(m, q, beta)
-        parts, branches = reference_phase_split(m, q, beta)
-        got = (split.log_ZM, split.log_ZD, split.log_ZS, *split.log_branches)
-        for value, ref in zip(got, parts + branches, strict=True):
+        got = (split.log_ZM, split.log_ZD, split.log_ZS)
+        for value, ref in zip(got, reference_phase_split(m, q, beta), strict=True):
             if ref == -math.inf:
                 assert value == -math.inf
             else:
@@ -184,8 +174,8 @@ class TestPhaseLevels:
     @pytest.mark.parametrize("m, q", [(1, 3), (82, 3), (20, 4)])
     def test_levels_are_read_only_ascending_float64(self, m, q):
         levels = mf.phase_levels(m, q)
-        assert len(levels.parts) == 3 and len(levels.branches) == q
-        for e, log_g in levels.parts + levels.branches:
+        assert len(levels) == 3
+        for e, log_g in levels:
             assert e.dtype == log_g.dtype == np.float64
             assert e.shape == log_g.shape
             assert np.all(np.diff(e) > 0)
@@ -209,13 +199,16 @@ class TestPhaseSplit:
         finite = [p for p in parts if p > -math.inf]
         assert logsumexp(finite) == pytest.approx(split.log_Z, rel=1e-12)
 
-    def test_branch_symmetry(self):
-        # the q majority branches carry identical mass
-        split = mf.phase_split(12, 3, mf.find_critical_Bo(3).Bo / 12)
-        branches = split.log_branches
-        assert len(branches) == 3
-        assert branches[0] == pytest.approx(branches[1], rel=1e-12)
-        assert branches[0] == pytest.approx(branches[2], rel=1e-12)
+    @pytest.mark.parametrize("m, q", [(12, 3), (82, 3), (9, 4), (6, 6), (5, 7)])
+    def test_labels_are_color_permutation_symmetric(self, m, q):
+        # permuting a signature's colors keeps its phase label: every
+        # signature is labelled as its descending rearrangement
+        sigs = mf.enumerate_signatures(m, q)
+        labels = mf.phase_classes(m, q).labels
+        label_of = dict(zip(map(tuple, sigs.tolist()), labels.tolist()))
+        assert len(set(labels.tolist())) > 1
+        for s, lab in label_of.items():
+            assert label_of[tuple(sorted(s, reverse=True))] == lab, s
 
     def test_matches_brute_force_by_label(self):
         m, q = 8, 3
@@ -223,7 +216,7 @@ class TestPhaseSplit:
         split = mf.phase_split(m, q, beta)
         model = mf.explicit_complete_graph(m, q, beta)
         sigs = mf.enumerate_signatures(m, q)
-        labels, _ = mf.classify_signatures(sigs, m, q)
+        labels = mf.classify_signatures(sigs, m, q)
         # recompute Z^D via the exact engine over configurations
         d_sigs = {tuple(s) for s, lab in zip(sigs.tolist(), labels) if lab == mf.PHASE_D}
 
@@ -272,9 +265,10 @@ class TestPhaseSplit:
 
 
 def _fraction_labels(m, q):
-    """Labels and branch fractions from the documented rule in exact rationals:
-    centers m/q (D) and (q-1)m/q on one color, m/(q(q-1)) on the others (M),
-    half-width the float m^(3/4) taken exactly, ties to D."""
+    """Labels from the documented rule in exact rationals over all q majority
+    branches: centers m/q (D) and (q-1)m/q on one color, m/(q(q-1)) on the
+    others (M), half-width the float m^(3/4) taken exactly, ties to D.  Also
+    asserts that every M signature has exactly one nearest majority center."""
     w = Fraction(float(m) ** 0.75)
     center_d = [Fraction(m, q)] * q
     centers_m = [
@@ -288,32 +282,29 @@ def _fraction_labels(m, q):
     def d2(s, c):
         return sum((x - y) ** 2 for x, y in zip(s, c))
 
-    labels, fracs = [], []
+    labels = []
     for s in mf.enumerate_signatures(m, q).tolist():
-        d2_m = [d2(s, c) if inside(s, c) else None for c in centers_m]
-        near = [v for v in d2_m if v is not None]
+        near = [d2(s, c) for c in centers_m if inside(s, c)]
         if near and (not inside(s, center_d) or min(near) < d2(s, center_d)):
-            tied = [v == min(near) for v in d2_m]
+            assert near.count(min(near)) == 1, s
             labels.append(mf.PHASE_M)
-            fracs.append([Fraction(t, sum(tied)) for t in tied])
         else:
             labels.append(mf.PHASE_D if inside(s, center_d) else mf.PHASE_S)
-            fracs.append([Fraction(0)] * q)
-    return labels, fracs
+    return labels
 
 
 class TestExactLabels:
     @pytest.mark.parametrize(
-        "m, q", [(16, 3), (30, 3), (81, 3), (82, 3), (6, 4), (12, 4), (20, 4), (5, 5), (10, 5)]
+        "m, q",
+        [(16, 3), (30, 3), (81, 3), (82, 3), (6, 4), (12, 4), (20, 4), (5, 5), (10, 5),
+         (1, 2), (10, 2), (40, 2), (4, 6), (9, 6), (3, 7), (7, 7)],
     )
     def test_phase_classes_match_fraction_brute_force(self, m, q):
-        labels, fracs = _fraction_labels(m, q)
-        classes = mf.phase_classes(m, q)
-        assert classes.labels.tolist() == labels
-        for j, (idx, log_frac) in enumerate(classes.branches):
-            expected = [(i, float(f[j])) for i, f in enumerate(fracs) if f[j] > 0]
-            assert idx.tolist() == [i for i, _ in expected]
-            assert log_frac.tolist() == np.log([f for _, f in expected]).tolist()
+        labels = _fraction_labels(m, q)
+        assert mf.phase_classes(m, q).labels.tolist() == labels
+        if q == 2:
+            # both majority centers coincide with D's, so ties leave M empty
+            assert mf.PHASE_M not in labels
 
 
 class TestFactA2Bracket:

@@ -98,7 +98,7 @@ class TestCollapsedSpaces:
         # same inputs to each logsumexp as masking the repeated signature labels
         inst = potts.make_potts_instance(base_graph(), m=m, beta_cross=0.2, beta_H=0.9 / m)
         space = potts.collapsed_distribution_F(inst, "visible")
-        labels, _ = meanfield.classify_signatures(meanfield.enumerate_signatures(m, 3), m, 3)
+        labels = meanfield.classify_signatures(meanfield.enumerate_signatures(m, 3), m, 3)
         full = np.repeat(labels, 3**3)
         t = space.log_count + space.log_weight
         expected = tuple(
