@@ -3,7 +3,8 @@
 ``partition_log`` sums out vertices one at a time in a greedy min-fill order
 (bucket elimination in log space, Dechter 1999), which costs O(n q^(w+1)) for
 induced width w; when the largest intermediate factor would not fit in one
-enumeration block it enumerates instead.
+enumeration block it enumerates instead.  The order depends only on n and the
+edge pairs and is cached per graph structure.
 
 Restricted sums, total-variation distance and the reference sampler need
 every state's weight and enumerate the q^n configuration space in blocks of
@@ -20,6 +21,12 @@ the same bits; spin matrices broadcast ``arange(q)`` the same way, so nothing
 is decoded.  Every entry point is guarded by the same bit budget on q^n.
 Enumeration order is lexicographic in base q with vertex 0 as the least
 significant digit (axis k-1-v).  ``logsumexp`` has scipy's bits.
+
+Each yielded block of log-weights belongs to its consumer, so ``tv_exact``
+turns a block pair into |p_A - p_B| in place and a restricted sum takes the
+log-sum-exp of its gathered states in place: the same ufuncs in the same
+order as the out-of-place expressions, so the same bits, without a
+temporary per step.  A predicate's mask has shape (block,) or is a scalar.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ import csv
 import logging
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -79,7 +87,13 @@ def iter_blocks(
 ) -> Iterator[tuple[np.ndarray, Optional[np.ndarray]]]:
     """Yield (log_weights, spins) for each block of q^k states, in
     enumeration order; ``spins`` is the block's (q^k, n) spin matrix with
-    contiguous columns, or None unless ``with_spins``."""
+    contiguous columns, or None unless ``with_spins``.
+
+    The consumer owns each yielded ``log_weights`` and may overwrite it: with
+    one block it is the generator's base tensor, which the generator never
+    reads again, and with several blocks each is a fresh array.  ``spins``
+    is shared with the generator when there is one block, so leave it as is.
+    """
     q, n = model.q, model.n
     # q^k <= 2^_BLOCK_BITS exactly, as q^k is no power of two unless q is (k is
     # 1 for larger q).  The last j axes merge into <= 2^8 cells over which every
@@ -146,7 +160,13 @@ def logsumexp(a) -> float:
     exp(x - m) over the other entries, log1p(s/c) + log(c) + m, which is
     finite for finite m; the unshifted log(sum(exp(a))) when m is not finite
     (all -inf, or a +inf or nan entry); -inf when empty."""
-    a = np.asarray(a, dtype=float)
+    return _logsumexp(np.asarray(a, dtype=float), None)
+
+
+def _logsumexp(a: np.ndarray, out: Optional[np.ndarray]) -> float:
+    """:func:`logsumexp` of a float64 array, writing the shifted entries
+    a - m into ``out``: a fresh array when None, or ``a`` itself when the
+    caller owns ``a`` and has no further use for it.  Same bits either way."""
     if not a.size:
         return float("-inf")
     peak = a.max()
@@ -155,21 +175,31 @@ def logsumexp(a) -> float:
             return float(np.log(np.exp(a).sum()))
         top = a == peak
         count = np.float64(np.count_nonzero(top))
-        shifted = a - peak
+        shifted = np.subtract(a, peak, out=out)
         shifted[top] = -np.inf
         s = np.exp(shifted, out=shifted).sum()
     return float(np.log1p(s / count) + np.log(count) + peak)
 
 
 def _min_fill_order(model: SpinSystem) -> tuple[list[int], int]:
-    """Greedy min-fill elimination order and its induced width.
+    """Greedy min-fill elimination order (a fresh list) and its induced
+    width; computed once per graph structure, so models that differ only in
+    couplings and fields share one computation."""
+    order, width = _graph_min_fill_order(model.n, tuple((u, v) for u, v, _ in model.edges))
+    return list(order), width
+
+
+@lru_cache(maxsize=64)
+def _graph_min_fill_order(n: int, pairs: tuple[tuple[int, int], ...]) -> tuple[tuple[int, ...], int]:
+    """Min-fill order and induced width of the graph on n vertices with edge
+    ``pairs``; cached.
 
     Each step eliminates the vertex whose neighbours need the fewest fill
     edges to form a clique, ties broken by degree and then vertex id; only
     the eliminated vertex's neighbours and theirs are re-costed.
     """
-    adj = [set() for _ in range(model.n)]
-    for u, v, _ in model.edges:
+    adj = [set() for _ in range(n)]
+    for u, v in pairs:
         adj[u].add(v)
         adj[v].add(u)
 
@@ -178,7 +208,7 @@ def _min_fill_order(model: SpinSystem) -> tuple[list[int], int]:
         fill = sum(b not in adj[a] for i, a in enumerate(nbrs) for b in nbrs[i + 1 :])
         return fill, len(nbrs), v
 
-    costs = {v: cost(v) for v in range(model.n)}
+    costs = {v: cost(v) for v in range(n)}
     order: list[int] = []
     width = 0
     while costs:
@@ -192,7 +222,7 @@ def _min_fill_order(model: SpinSystem) -> tuple[list[int], int]:
         order.append(v)
         for x in nbrs.union(*(adj[a] for a in nbrs)):
             costs[x] = cost(x)
-    return order, width
+    return tuple(order), width
 
 
 def _eliminate_log_Z(model: SpinSystem, order: Sequence[int]) -> float:
@@ -231,7 +261,7 @@ def _eliminate_log_Z(model: SpinSystem, order: Sequence[int]) -> float:
 
 def _enumerate_log_Z(model: SpinSystem) -> float:
     """log Z by full block enumeration."""
-    return logsumexp([logsumexp(lw) for lw, _ in iter_blocks(model)])
+    return logsumexp([_logsumexp(lw, lw) for lw, _ in iter_blocks(model)])
 
 
 def partition_log(model: SpinSystem, budget_bits: float = DEFAULT_BUDGET_BITS) -> float:
@@ -258,8 +288,9 @@ def restricted_partition_log(
     model: SpinSystem, predicate: Callable[[np.ndarray], np.ndarray]
 ) -> float:
     """log of the weight sum over configurations satisfying ``predicate``,
-    which receives a (block, n) spins matrix and returns a boolean mask.
-    Returns -inf when no state qualifies.
+    which receives a (block, n) spins matrix and returns a boolean mask of
+    shape (block,), or a scalar that selects the whole block.  Returns -inf
+    when no state qualifies.
     """
     return restricted_partition_multi(model, [predicate])[0]
 
@@ -267,14 +298,23 @@ def restricted_partition_log(
 def restricted_partition_multi(
     model: SpinSystem, predicates: Sequence[Callable[[np.ndarray], np.ndarray]]
 ) -> list[float]:
-    """Several vectorized restricted sums in a single enumeration pass."""
+    """Several vectorized restricted sums in a single enumeration pass; a
+    mask of any shape other than (block,) or a scalar is an
+    InvalidConfigurationError."""
     check_budget(model)
     parts: list[list[float]] = [[] for _ in predicates]
     for lw, spins in iter_blocks(model, with_spins=True):
         for k, pred in enumerate(predicates):
             mask = np.asarray(pred(spins), dtype=bool)
+            if mask.ndim and mask.shape != lw.shape:
+                raise InvalidConfigurationError(
+                    f"predicate {k} returned a mask of shape {mask.shape}; "
+                    f"expected {lw.shape} or a scalar"
+                )
             if mask.any():
-                parts[k].append(logsumexp(lw[mask]))
+                # lw[mask]'s entries in its order; the gathered copy is ours
+                picked = np.compress(np.broadcast_to(mask, lw.shape), lw)
+                parts[k].append(_logsumexp(picked, picked))
     return [logsumexp(p) for p in parts]
 
 
@@ -284,10 +324,17 @@ def tv_exact(model_a: SpinSystem, model_b: SpinSystem) -> float:
         raise InvalidModelError("tv_exact requires matching n and q")
     log_za = partition_log(model_a)
     log_zb = partition_log(model_b)
-    return 0.5 * sum(
-        float(np.sum(np.abs(np.exp(lwa - log_za) - np.exp(lwb - log_zb))))
-        for (lwa, _), (lwb, _) in zip(iter_blocks(model_a), iter_blocks(model_b))
-    )
+    total = 0.0
+    # |exp(lwa - log_za) - exp(lwb - log_zb)| computed in the blocks themselves
+    for (lwa, _), (lwb, _) in zip(iter_blocks(model_a), iter_blocks(model_b)):
+        lwa -= log_za
+        np.exp(lwa, out=lwa)
+        lwb -= log_zb
+        np.exp(lwb, out=lwb)
+        lwa -= lwb
+        np.abs(lwa, out=lwa)
+        total += float(np.sum(lwa))
+    return 0.5 * total
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,13 @@
 
 Deliberately written with plain Python loops, dicts and itertools (no numpy,
 no code shared with the package) so that agreement with the fast engine is
-meaningful.  The one exception is the last section: the hidden samplers as
-they were before their per-instance draw tables, which pin the generator
-stream and so have to call numpy's ``Generator`` the way they did.  The
+meaningful.  Two sections are exceptions.  The block-sum references apply
+the out-of-place numpy expressions that ``tv_exact`` and
+``restricted_partition_multi`` evaluated before they consumed enumeration
+blocks in place, to blocks the package enumerates, so that a test can ask
+for the same bits.  The hidden samplers are kept as they were before their
+per-instance draw tables; they pin the generator stream and so have to call
+numpy's ``Generator`` the way they did.  The
 mean-field sums read the package's per-signature weights and phase labels
 (each checked against brute force elsewhere) and sum them signature by
 signature, where the package sums over energy levels.
@@ -91,6 +95,30 @@ def random_model(rng, n_max=12, q_choices=(2, 3), beta_range=(-2.0, 2.0), h_rang
             if rng.random() < 0.3:
                 field.append((v, s, float(rng.uniform(*h_range))))
     return q, n, tuple(edges), tuple(field)
+
+
+# -- reference block sums ------------------------------------------------------
+# ``blocks`` are enumeration blocks (log_weights, spins); nothing here writes
+# to them.
+
+
+def reference_block_tv(blocks_a, blocks_b, log_za, log_zb):
+    """Half the sum over block pairs of |exp(lwa - log_za) - exp(lwb - log_zb)|."""
+    return 0.5 * sum(
+        float(np.sum(np.abs(np.exp(lwa - log_za) - np.exp(lwb - log_zb))))
+        for (lwa, _), (lwb, _) in zip(blocks_a, blocks_b)
+    )
+
+
+def reference_block_split(blocks, predicates):
+    """Per predicate, the log-sum-exp over blocks of logsumexp(lw[mask])."""
+    parts = [[] for _ in predicates]
+    for lw, spins in blocks:
+        for k, pred in enumerate(predicates):
+            mask = np.asarray(pred(spins), dtype=bool)
+            if mask.any():
+                parts[k].append(float(logsumexp(lw[mask])))
+    return [float(logsumexp(p)) if p else -math.inf for p in parts]
 
 
 # -- reference hidden samplers -------------------------------------------------

@@ -10,7 +10,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.special import logsumexp
 
-from naive_oracle import naive_log_Z, naive_probs, naive_restricted_log, naive_tv, random_model
+from naive_oracle import (
+    naive_log_Z,
+    naive_probs,
+    naive_restricted_log,
+    naive_tv,
+    random_model,
+    reference_block_split,
+    reference_block_tv,
+)
 from spinlab import exact
 from spinlab.errors import BudgetExceededError, InvalidConfigurationError, InvalidModelError
 from spinlab.exact import (
@@ -133,6 +141,13 @@ class TestRestricted:
             restricted_partition_log(m, p) for p in preds
         ]
         assert multi == pytest.approx(singles)
+
+    @pytest.mark.parametrize("pred", [lambda s: s[:3, 0] == 0, lambda s: s == 0],
+                             ids=["wrong-length", "two-dimensional"])
+    def test_wrong_shape_mask_is_an_error(self, pred):
+        m = make(2, 5, ((0, 1, 0.5),))
+        with pytest.raises(InvalidConfigurationError, match=r"predicate 1 .*expected \(32,\)"):
+            restricted_partition_multi(m, [lambda s: s[:, 0] == 0, pred])
 
 
 class TestTvExact:
@@ -403,6 +418,35 @@ class TestBlockTensors:
         assert np.array_equal(lw, ref_lw) and np.array_equal(spins, ref_spins)
 
 
+class TestInPlaceBlockSums:
+    """tv_exact and the restricted split overwrite the blocks they enumerate;
+    with folded blocks each block is a fresh array."""
+
+    @pytest.mark.parametrize("q, n, edges, field", [
+        # 2^7 states in 8 blocks of 2^4: a 7-cycle with a chord
+        (2, 7, ((0, 1, 0.6), (1, 2, -0.9), (2, 3, 0.4), (3, 4, 1.1), (4, 5, -0.3),
+                (5, 6, 0.8), (0, 6, -1.2), (1, 5, 0.5)), ((0, 1, 0.2), (3, 0, -0.7), (6, 1, 0.9))),
+        # 3^5 states in 27 blocks of 3^2: a path
+        (3, 5, ((0, 1, -0.5), (1, 2, 0.9), (2, 3, 0.3), (3, 4, -1.1)),
+         ((1, 2, 0.6), (2, 0, -0.4), (4, 1, 0.35))),
+        # 4^3 states in 4 blocks of 4^2: a triangle
+        (4, 3, ((0, 1, 0.7), (0, 2, -0.2), (1, 2, 1.3)), ((0, 3, -0.8), (2, 1, 0.5))),
+    ])
+    def test_bit_equal_to_out_of_place_expressions(self, monkeypatch, q, n, edges, field):
+        monkeypatch.setattr(exact, "_BLOCK_BITS", 4)
+        a = make(q, n, edges, field)
+        b = make(q, n, [(u, v, beta + 0.3) for u, v, beta in edges], field[1:])
+        blocks_a = list(exact.iter_blocks(a, with_spins=True))
+        assert len(blocks_a) > 1
+        expected = reference_block_tv(blocks_a, exact.iter_blocks(b),
+                                      partition_log(a), partition_log(b))
+        assert tv_exact(a, b) == expected
+        preds = [lambda s, c=c: s[:, 0] == c for c in range(q)]
+        preds += [lambda s: s[:, 0] == s[:, n - 1], lambda s: s[:, n - 1] == 0, lambda s: True]
+        assert restricted_partition_multi(a, preds) == reference_block_split(blocks_a, preds)
+        assert tv_exact(a, a) == 0.0
+
+
 def _lse_cases(n):
     """Seeded 1-D inputs of length n: spread, near-tied and integer values,
     repeated maxima, -inf, +inf and nan entries, and all -inf."""
@@ -534,6 +578,32 @@ def _min_fill_graphs():
 def test_min_fill_order_matches_full_recompute(graph):
     model = make(2, graph.number_of_nodes(), [(u, v, 0.5) for u, v in graph.edges()])
     assert exact._min_fill_order(model) == full_recompute_min_fill(model)
+
+
+class TestOrderCache:
+    def test_one_order_per_graph_structure(self):
+        # A and B share n and the edge pairs; their couplings differ
+        a, b = cubic_pair(7)
+        exact._graph_min_fill_order.cache_clear()
+        partition_log(a)
+        partition_log(b)
+        tv_exact(a, b)
+        info = exact._graph_min_fill_order.cache_info()
+        assert (info.misses, info.hits) == (1, 3)
+
+    def test_returned_order_is_a_fresh_list(self):
+        a, _ = cubic_pair(8)
+        order, width = exact._min_fill_order(a)
+        expected = list(order)
+        order.reverse()
+        assert exact._min_fill_order(a) == (expected, width)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_partition_log_bit_equal_along_uncached_order(self, seed):
+        for model in cubic_pair(seed):
+            partition_log(model)  # the cached order serves the second call
+            expected = exact._eliminate_log_Z(model, full_recompute_min_fill(model)[0])
+            assert partition_log(model) == expected
 
 
 # -- samplers -------------------------------------------------------------------
