@@ -35,7 +35,7 @@ import csv
 import logging
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -424,7 +424,8 @@ class CollapsedSpace:
 
     Class ``i`` of ``layout`` has log state count ``log_count[i]`` and common
     per-configuration log-weight ``log_weight[i]``.  Two spaces with equal
-    layouts are directly comparable via :func:`tv_collapsed`.
+    layouts are directly comparable via :func:`tv_collapsed`.  The arrays
+    are not changed after construction, so :attr:`log_Z` is kept once read.
     """
 
     layout: ClassLayout
@@ -435,10 +436,11 @@ class CollapsedSpace:
         if not (self.layout.size == len(self.log_count) == len(self.log_weight)):
             raise InvalidModelError("collapsed-space arrays must align")
 
-    @property
+    @cached_property
     def log_Z(self) -> float:
-        """Log total mass; a nan, infinite or zero total is an
-        InvalidModelError, never a nan TV, tester answer or phase sum."""
+        """Log total mass, computed on first read; a nan, infinite or zero
+        total is an InvalidModelError on every read, never a nan TV, tester
+        answer or phase sum."""
         log_Z = logsumexp(self.log_count + self.log_weight)
         if not math.isfinite(log_Z):
             raise InvalidModelError(f"collapsed space has non-finite log Z = {log_Z!r}")

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -44,7 +44,9 @@ class PottsInstance(ReductionInstance):
 
         Returns (descriptors, log_count, log_weight); the count is the number
         of configurations realizing the signature pair and the weight is the
-        common per-configuration log-weight.
+        common per-configuration log-weight.  The descriptors are
+        :func:`class_descriptors` of the instance's shape, shared by every
+        instance of that shape.
         """
         th = meanfield.signature_table(self.m, self.q)
         tk = meanfield.signature_table(self.N, self.q)
@@ -55,10 +57,12 @@ class PottsInstance(ReductionInstance):
             + float(self.beta_K) * tk.mono_edges[None, :]
             + self.beta_cross * cross
         ).ravel()
-        rows_h = [tuple(s) for s in th.sigs.tolist()]
-        rows_k = [tuple(t) for t in tk.sigs.tolist()]
-        descriptors = tuple(itertools.product(rows_h, rows_k))
-        return descriptors, log_count, log_weight
+        return class_descriptors(self.m, self.N, self.q), log_count, log_weight
+
+    @cached_property
+    def _collapsed_spaces(self) -> dict[str, CollapsedSpace]:
+        """:func:`collapsed_distribution_F`'s spaces, by side, once built."""
+        return {}
 
     def assemble(self, block: SpinSystem) -> SpinSystem:
         """The base block joined to K_m (coupling beta_H) by K_{N,m}
@@ -196,8 +200,17 @@ def collapsed_distribution_F(inst: PottsInstance, which: str) -> CollapsedSpace:
     """Exact collapsed space over classes (sig(H), sigma on the N block vertices).
 
     Visible and hidden instances share the class layout, so tv_collapsed
-    applies; :meth:`PottsInstance.class_index` gives the class order.
+    applies; :meth:`PottsInstance.class_index` gives the class order.  Each
+    side's space is computed once per instance and kept on it, with
+    read-only arrays, so every later call returns the same object.
     """
+    spaces = inst._collapsed_spaces
+    if which not in spaces:
+        spaces[which] = _collapse(inst, which)
+    return spaces[which]
+
+
+def _collapse(inst: PottsInstance, which: str) -> CollapsedSpace:
     q, N, m = inst.q, inst.N, inst.m
     table = meanfield.signature_table(m, q)
 
@@ -214,6 +227,8 @@ def collapsed_distribution_F(inst: PottsInstance, which: str) -> CollapsedSpace:
         + inst.beta_cross * cross
     ).ravel()
     log_count = np.repeat(table.log_multi, len(block_lw))
+    log_count.setflags(write=False)
+    log_weight.setflags(write=False)
     layout = ClassLayout(("potts", q, N, m), len(log_count))
     return CollapsedSpace(layout=layout, log_count=log_count, log_weight=log_weight)
 
@@ -234,19 +249,42 @@ def phase_partition_F(inst: PottsInstance, which: str) -> tuple[float, float, fl
 def sample_hidden_potts(inst: PottsInstance, rng: np.random.Generator) -> Configuration:
     """An exact draw from the hidden Gibbs distribution mu_{F*}.
 
-    Samples the joint (sig_H, sig_K) signature pair from its exact
-    distribution, then realizes it by uniformly random color placements.
+    Samples a class k of :attr:`PottsInstance.hidden_class_table` from its
+    exact distribution.  Class k is the signature pair (sig_H, sig_K) with
+    sig_H the (k // K)-th signature of m vertices and sig_K the (k % K)-th
+    of N, K the number of N-signatures.  The pair is realized by uniformly
+    random color placements: the cached sorted color row of sig_K
+    (:func:`color_rows`) goes to a random permutation of vertices 0..N-1,
+    then that of sig_H to one of N..N+m-1.
     """
-    descriptors, _, _ = inst.hidden_class_table
-    k = int(inst.sample_hidden_classes(rng, 1)[0])
-    sig_h, sig_k = descriptors[k]
-    block = _place_colors(inst.N, sig_k, rng)
-    hpart = _place_colors(inst.m, sig_h, rng)
-    return Configuration(tuple(np.concatenate([block, hpart]).tolist()))
+    N, m = inst.N, inst.m
+    rows_N, rows_m = color_rows(N, inst.q), color_rows(m, inst.q)
+    row_h, row_k = divmod(int(inst.sample_hidden_classes(rng, 1)[0]), len(rows_N))
+    out = np.empty(N + m, dtype=rows_N.dtype)
+    out[rng.permutation(N)] = rows_N[row_k]
+    out[N:][rng.permutation(m)] = rows_m[row_h]
+    return Configuration(tuple(out.tolist()))
 
 
-def _place_colors(n: int, sig: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """Colors with counts ``sig`` at uniformly random positions 0..n-1."""
-    out = np.empty(n, dtype=np.int64)
-    out[rng.permutation(n)] = np.repeat(np.arange(len(sig)), sig)
-    return out
+@lru_cache(maxsize=16)
+def class_descriptors(m: int, N: int, q: int) -> tuple:
+    """The hidden classes (sig_H, sig_K) of shape (m, N, q) as int tuples:
+    ``itertools.product`` of the m- and N-vertex signatures, each in
+    :func:`meanfield.enumerate_signatures` order, so class k is
+    ``(sigs_m[k // K], sigs_N[k % K])`` with K the number of N-signatures.
+    Cached and shared by every instance of the shape."""
+    rows_h = [tuple(s) for s in meanfield.enumerate_signatures(m, q).tolist()]
+    rows_k = [tuple(t) for t in meanfield.enumerate_signatures(N, q).tolist()]
+    return tuple(itertools.product(rows_h, rows_k))
+
+
+@lru_cache(maxsize=64)
+def color_rows(n: int, q: int) -> np.ndarray:
+    """Row i is ``np.repeat(arange(q), sig)`` for the i-th signature ``sig``
+    of n vertices in :func:`meanfield.enumerate_signatures` order: its
+    colors, sorted.  Cached, read-only, in the smallest dtype holding q-1."""
+    sigs = meanfield.enumerate_signatures(n, q)
+    colors = np.tile(np.arange(q, dtype=np.min_scalar_type(q - 1)), len(sigs))
+    rows = np.repeat(colors, sigs.ravel()).reshape(len(sigs), n)
+    rows.setflags(write=False)
+    return rows

@@ -8,6 +8,7 @@ from spinlab import meanfield, potts
 from spinlab.errors import GuardViolation, InfeasibleParametersError, InvalidModelError
 from spinlab.exact import ExactDistribution, decode_spins, partition_log, tv_collapsed
 from spinlab.model import SpinSystem
+from naive_oracle import reference_sample_hidden_potts
 
 
 def base_graph(N=3, beta=0.5, q=3):
@@ -92,6 +93,24 @@ class TestCollapsedSpaces:
             for t in sigs_k
         )
         assert all(type(x) is int for d in descriptors[:5] for part in d for x in part)
+
+    def test_space_built_once_per_instance_and_side(self):
+        inst = potts.make_potts_instance(base_graph(), m=4, beta_cross=0.2, beta_H=0.9)
+        other = potts.make_potts_instance(base_graph(), m=4, beta_cross=0.2, beta_H=1.1)
+        for which, pair_space in zip(("visible", "hidden"), inst.collapsed_pair):
+            space = potts.collapsed_distribution_F(inst, which)
+            assert potts.collapsed_distribution_F(inst, which) is space
+            assert pair_space is space
+            for a in (space.log_count, space.log_weight):
+                assert not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a[0] = 0.0
+            # differs only in beta_H: its own space, with its own weights
+            theirs = potts.collapsed_distribution_F(other, which)
+            assert theirs is not space
+            assert not np.array_equal(theirs.log_weight, space.log_weight)
+        with pytest.raises(InvalidModelError):
+            potts.collapsed_distribution_F(inst, "both")
 
     @pytest.mark.parametrize("m", [6, 90])
     def test_phase_partition_equals_label_masks(self, m):
@@ -211,6 +230,33 @@ class TestHiddenSampler:
         a = potts.sample_hidden_potts(inst, np.random.default_rng(42))
         b = potts.sample_hidden_potts(inst, np.random.default_rng(42))
         assert a.spins == b.spins
+
+
+@pytest.mark.parametrize("q, N, m", [(2, 1, 0), (2, 1, 1), (2, 3, 0), (3, 1, 4), (3, 4, 30), (4, 2, 1)])
+def test_class_descriptors_and_color_rows(q, N, m):
+    """Class k of the hidden table is (k // K-th m-signature, k % K-th
+    N-signature), and each cached color row lists its signature's colors in
+    ascending order."""
+    G = SpinSystem(q=q, n=N, edges=tuple((v, v + 1, 0.5) for v in range(N - 1)), field=())
+    inst = potts.make_potts_instance(G, m=m, beta_cross=0.2, beta_H=0.9)
+    descriptors, _, _ = inst.hidden_class_table
+    sigs_m, sigs_N = meanfield.enumerate_signatures(m, q), meanfield.enumerate_signatures(N, q)
+    K = len(sigs_N)
+    assert len(descriptors) == len(sigs_m) * K
+    for k, d in enumerate(descriptors):
+        assert d == (tuple(sigs_m[k // K].tolist()), tuple(sigs_N[k % K].tolist()))
+    assert potts.class_descriptors(m, N, q) is descriptors
+    for n, sigs in ((m, sigs_m), (N, sigs_N)):
+        rows = potts.color_rows(n, q)
+        assert rows.shape == (len(sigs), n)
+        assert not rows.flags.writeable
+        assert np.all(np.diff(rows.astype(np.int64), axis=1) >= 0)
+        counts = np.stack([(rows == c).sum(axis=1) for c in range(q)], axis=1)
+        assert np.array_equal(counts, sigs)
+    rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+    for _ in range(20):
+        assert potts.sample_hidden_potts(inst, rng).spins == reference_sample_hidden_potts(inst, ref_rng)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def looped_collapsed_F(inst, which):
