@@ -17,8 +17,8 @@ visible and hidden models differ, and supplies four things:
   instance's own couplings, which builds ``visible`` and ``hidden`` on first
   read;
 
-* ``collapsed(which)`` — the exact collapsed space of one model, with classes
-  numbered ``outer * q**N + block index``;
+* ``collapsed(which)`` — the exact collapsed space of one model, built by
+  ``level_space`` with classes numbered ``outer * n_levels + level``;
 * ``outer_class(spins)`` — the outer part of that number for each
   configuration row (hub spins, or the rank of the clique's colour counts);
 * ``hidden_class_table`` — the hidden model's classes as
@@ -27,6 +27,8 @@ visible and hidden models differ, and supplies four things:
 From these the base class derives the cached ``collapsed_pair``, the
 vectorised ``class_index`` and ``sample_hidden_classes``, which draws from a
 class table built once per instance; the testers and samplers read these.
+Both base blocks' weights are constant on each of the cached ``levels``, so
+TV over the collapsed classes is TV over states.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import GuardViolation, InvalidConfigurationError, InvalidModelError
-from .exact import CollapsedSpace, IndexSampler, logsumexp, tv_collapsed
+from .exact import CollapsedSpace, IndexSampler, block_log_weights, logsumexp, state_table, tv_collapsed
 from .model import Configuration, SpinSystem, classify_field, disjoint_union, FIELD_ZERO
 
 ANSWER_LOW = "Z<=Zhat/r"
@@ -102,6 +104,19 @@ def check_guard(log_Zhat: float, floor: float, ceiling: float) -> None:
         raise GuardViolation("above", ANSWER_LOW, f"log Zhat {log_Zhat:.4g} > ceiling {ceiling:.4g}")
 
 
+def colour_counts(spins: np.ndarray, q: int) -> np.ndarray:
+    """(rows, q) number of each colour 0..q-1 in each row of ``spins``."""
+    return np.stack([(spins == c).sum(axis=1) for c in range(q)], axis=1)
+
+
+def count_code(digits: np.ndarray, radix: Sequence[int]) -> np.ndarray:
+    """Mixed-radix code of each row of ``digits`` (digit i below radix[i], the
+    first most significant): int64, or Python ints past int64's range."""
+    places = [math.prod(radix[i + 1:]) for i in range(len(radix))]
+    dtype = np.int64 if math.prod(radix) <= np.iinfo(np.int64).max else object
+    return np.asarray(digits).astype(dtype) @ np.asarray(places, dtype=dtype)
+
+
 @dataclass(frozen=True)
 class ReductionInstance:
     """Shared shape of a visible/hidden reduction pair; see the module docstring."""
@@ -125,6 +140,48 @@ class ReductionInstance:
 
     def outer_class(self, spins: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    @cached_property
+    def field_groups(self) -> tuple[np.ndarray, ...]:
+        """Base vertices grouped by field: one group of all N by default."""
+        return (np.arange(self.N),)
+
+    def level_code(self, spins: np.ndarray) -> np.ndarray:
+        """Each row's base colour counts per field group, then its number of
+        equal-ended visible edges, as one :func:`count_code`."""
+        base, (u, v, _) = spins[:, : self.N], self.visible_block.edge_arrays
+        digits = [colour_counts(base[:, group], self.q) for group in self.field_groups]
+        radix = [len(group) + 1 for group in self.field_groups for _ in range(self.q)]
+        mono = (base[:, u] == base[:, v]).sum(axis=1)
+        return count_code(np.column_stack(digits + [mono]), radix + [len(u) + 1])
+
+    @cached_property
+    def levels(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[str, np.ndarray]]:
+        """Per level, from one enumeration of the visible block: the sorted
+        level codes, the log state count, one base row and each base block's
+        log-weight by side.  An InvalidModelError unless both base blocks'
+        weights are constant on every level within 1e-9 relative."""
+        visible_lw, spins = state_table(self.visible_block)
+        codes, first, inverse, count = np.unique(
+            self.level_code(spins), return_index=True, return_inverse=True, return_counts=True
+        )
+        weights = {"visible": visible_lw, "hidden": block_log_weights(self.hidden_block, spins)}
+        for which, lw in weights.items():
+            if not (np.abs(lw[first][inverse] - lw) <= 1e-9 * np.abs(lw)).all():
+                raise InvalidModelError(f"the {which} base block's weight is not constant on its levels")
+        return codes, np.log(count), spins[first], {which: lw[first] for which, lw in weights.items()}
+
+    def level_space(self, which: str, outer_count: np.ndarray, outer_weight: np.ndarray) -> CollapsedSpace:
+        """One model's collapsed space over classes ``o * n_levels + l``: log
+        count ``outer_count[o]`` plus level l's, log-weight
+        ``outer_weight[o, l]`` plus level l's base-block weight; read-only."""
+        self.base_block(which)  # rejects an unknown ``which``
+        _, log_count, _, block_lw = self.levels
+        log_weight = (outer_weight + block_lw[which]).ravel()
+        log_count = (outer_count[:, None] + log_count).ravel()
+        log_count.setflags(write=False)
+        log_weight.setflags(write=False)
+        return CollapsedSpace(log_count, log_weight)
 
     def model(self, which: str) -> SpinSystem:
         self.base_block(which)  # rejects an unknown ``which``
@@ -152,12 +209,14 @@ class ReductionInstance:
         return self.collapsed("visible"), self.collapsed("hidden")
 
     def class_index(self, spins) -> np.ndarray:
-        """Collapsed class index ``outer_class * q**N + block index`` of each
-        configuration row."""
+        """Collapsed class index ``outer_class * n_levels + level`` of each
+        configuration row; a spin outside 0..q-1 is an InvalidConfigurationError
+        (any other base part lies on a level)."""
         spins = np.asarray(spins, dtype=np.int64)
-        q, N = self.q, self.N
-        block = spins[:, :N] @ (np.int64(q) ** np.arange(N, dtype=np.int64))
-        return self.outer_class(spins) * q**N + block
+        if spins.min() < 0 or spins.max() >= self.q:
+            raise InvalidConfigurationError(f"configuration spins must lie in 0..{self.q - 1}")
+        codes = self.levels[0]
+        return self.outer_class(spins) * len(codes) + codes.searchsorted(self.level_code(spins))
 
     @cached_property
     def _hidden_class_sampler(self) -> IndexSampler:
@@ -212,7 +271,7 @@ def empirical_tester(epsilon: float, L: int) -> Callable:
             raise InvalidConfigurationError("empirical tester needs samples")
         vis, _ = instance.collapsed_pair
         spins = [s.spins if isinstance(s, Configuration) else s for s in samples]
-        counts = np.bincount(instance.class_index(spins), minlength=vis.layout.size)
+        counts = np.bincount(instance.class_index(spins), minlength=len(vis.log_weight))
         emp = counts / counts.sum()
         est = 0.5 * float(np.abs(emp - np.exp(vis.log_class_masses())).sum())
         return est <= threshold

@@ -409,31 +409,20 @@ def dump_distribution_csv(dist: ExactDistribution, path: str) -> None:
 
 
 @dataclass(frozen=True)
-class ClassLayout:
-    """How a collapsed space numbers its classes: ``key`` names the class
-    structure (e.g. ``("hub", N)``) and ``size`` is the class count.  Spaces
-    with equal layouts index the same classes in the same order."""
-
-    key: tuple
-    size: int
-
-
-@dataclass(frozen=True)
 class CollapsedSpace:
     """A partition of configuration space into constant-weight classes.
 
-    Class ``i`` of ``layout`` has log state count ``log_count[i]`` and common
-    per-configuration log-weight ``log_weight[i]``.  Two spaces with equal
-    layouts are directly comparable via :func:`tv_collapsed`.  The arrays
+    Class ``i`` has log state count ``log_count[i]`` and common
+    per-configuration log-weight ``log_weight[i]``.  Two spaces over the same
+    classes are directly comparable via :func:`tv_collapsed`.  The arrays
     are not changed after construction, so :attr:`log_Z` is kept once read.
     """
 
-    layout: ClassLayout
     log_count: np.ndarray
     log_weight: np.ndarray
 
     def __post_init__(self) -> None:
-        if not (self.layout.size == len(self.log_count) == len(self.log_weight)):
+        if len(self.log_count) != len(self.log_weight):
             raise InvalidModelError("collapsed-space arrays must align")
 
     @cached_property
@@ -452,9 +441,7 @@ class CollapsedSpace:
 
 
 def tv_collapsed(space_a: CollapsedSpace, space_b: CollapsedSpace) -> float:
-    """TV distance between two models sharing a collapsed class structure."""
-    if space_a.layout != space_b.layout:
-        raise InvalidModelError("collapsed spaces have mismatched class layouts")
+    """TV distance between two models over the same collapsed classes (equal log counts)."""
     if not np.array_equal(space_a.log_count, space_b.log_count):
         raise InvalidModelError("collapsed spaces have mismatched class counts")
     ma = np.exp(space_a.log_class_masses())

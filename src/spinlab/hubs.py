@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import gammaln
 
-from .counting import ReductionInstance, check_finite_log_Zhat, check_guard, testing_rate
+from .counting import ReductionInstance, check_finite_log_Zhat, check_guard, colour_counts, testing_rate
 from .errors import InvalidModelError, TargetUnreachableError
 from .model import (
     Configuration,
@@ -38,7 +38,7 @@ from .model import (
     classify_field,
     FIELD_ZERO,
 )
-from .exact import ClassLayout, CollapsedSpace, IndexSampler, logsumexp, partition_log, state_table
+from .exact import CollapsedSpace, IndexSampler, logsumexp, partition_log
 
 VARIANT_ANTIFERRO = "antiferro"
 VARIANT_FERRO = "ferro-field"
@@ -100,11 +100,9 @@ class HubInstance(ReductionInstance):
 
     @cached_property
     def field_groups(self) -> tuple[np.ndarray, ...]:
-        """Base vertices grouped by field spin: group g holds the vertices
-        whose field sits on spin g.  Antiferro has one group of all N vertices;
-        its h_hat is 0, so that group's field adds nothing."""
-        if self.variant == VARIANT_ANTIFERRO:
-            return (np.arange(self.N),)
+        """Ferro: group g holds the base vertices whose field sits on spin g."""
+        if not self.field_spins:
+            return super().field_groups
         spins = np.asarray(self.field_spins)
         return tuple(np.flatnonzero(spins == g) for g in (0, 1))
 
@@ -422,24 +420,19 @@ def closed_form_phase(inst: HubInstance, which: str) -> tuple[float, float]:
 
 
 def collapsed_distribution_hub(inst: HubInstance, which: str) -> CollapsedSpace:
-    """Exact collapsed space over (spin s1, spin s2, base-block configuration).
+    """Exact collapsed space over (spin s1, spin s2, base level).
 
     The path, pendant and clique auxiliary vertices integrate out; their
     conditional law given the class is identical in the visible and hidden
     models, so tv_collapsed over these classes equals the full-model TV.
     """
-    N = inst.N
-    block_lw, spins = state_table(inst.base_block(which))
+    counts = colour_counts(inst.levels[2], 2)
     same_u, diff_u = _u_factors(inst.variant, inst.beta1, inst.n_uv)
-
-    # class (c1, c2, base block idx) sits at ((c1*2 + c2) << N) | idx
-    parts = []
+    outer = []  # outer class 2*c1 + c2
     for c1, c2 in itertools.product((0, 1), repeat=2):
-        k1 = (spins == c1).sum(axis=1)
-        k2 = (spins == c2).sum(axis=1)
-        ufac = (k1 + k2) * same_u + (2 * N - k1 - k2) * diff_u
-        parts.append(block_lw + ufac + inst._w_log_factors[c1, c2])
-    return CollapsedSpace(ClassLayout(("hub", N), 4 << N), np.zeros(4 << N), np.concatenate(parts))
+        agree = counts[:, c1] + counts[:, c2]
+        outer.append(agree * same_u + (2 * inst.N - agree) * diff_u + inst._w_log_factors[c1, c2])
+    return inst.level_space(which, np.zeros(4), np.array(outer))
 
 
 # -- exact hidden sampler -----------------------------------------------------------

@@ -1,7 +1,7 @@
 """Ferromagnetic mean-field (complete-graph) Potts analyzer.
 
 Signature enumeration, the majority/disordered/residual (M/D/S) phase split,
-the free-energy functional Phi, the coexistence point in closed form (the
+the coexistence point of the free-energy functional in closed form (the
 coupling Bo, scaled so the per-edge coupling is Bo/m, and the majority
 fraction alpha_hat), and a bisection solver hitting a target Z^M/Z^D ratio.
 
@@ -42,23 +42,6 @@ WINDOW_EXPONENT = 0.75  # every phase window has half-width m^(3/4)
 SIGNATURE_BUDGET = 5_000_000
 
 
-def phi(alpha, beta_scaled: float) -> float:
-    """Mean-field free-energy functional H(alpha) + (beta/2)*||alpha||_2^2."""
-    a = np.asarray(alpha, dtype=float)
-    if np.any(a < -1e-12) or abs(a.sum() - 1.0) > 1e-12:
-        raise InvalidModelError(f"not a simplex point: {alpha!r}")
-    a = np.clip(a, 0.0, 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ent = -np.where(a > 0, a * np.log(np.where(a > 0, a, 1.0)), 0.0).sum()
-    return float(ent + 0.5 * beta_scaled * np.dot(a, a))
-
-
-def psi1(x: float, beta_scaled: float, q: int) -> float:
-    """Phi restricted to the symmetric ray (x, y, ..., y), y=(1-x)/(q-1)."""
-    y = (1.0 - x) / (q - 1)
-    return phi([x] + [y] * (q - 1), beta_scaled)
-
-
 @dataclass(frozen=True)
 class CriticalPoint:
     Bo: float
@@ -67,8 +50,10 @@ class CriticalPoint:
 
 def find_critical_Bo(q: int) -> CriticalPoint:
     """Scaled coexistence coupling Bo = 2(q-1)/(q-2) ln(q-1) and the majority
-    fraction alpha_hat = (q-1)/q, where the majority-branch maximum of psi1
-    equals its value at the uniform point (Ellis & Wang 1990)."""
+    fraction alpha_hat = (q-1)/q, where the mean-field free-energy functional
+    H(alpha) + (Bo/2)*||alpha||_2^2, restricted to the ray (x, y, ..., y) with
+    y = (1-x)/(q-1), has a majority-branch maximum equal to its value at the
+    uniform point (Ellis & Wang 1990)."""
     if q < 3:
         raise InvalidModelError("phase coexistence requires q >= 3")
     return CriticalPoint(Bo=2.0 * (q - 1) / (q - 2) * math.log(q - 1), alpha_hat=(q - 1) / q)

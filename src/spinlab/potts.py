@@ -23,9 +23,9 @@ import numpy as np
 from . import meanfield
 # ANSWER_* are re-exported for callers that import them from here.
 from .counting import ANSWER_HIGH, ANSWER_LOW, ReductionInstance
-from .counting import check_finite_log_Zhat, check_guard, testing_rate
-from .errors import InfeasibleParametersError, InvalidModelError
-from .exact import ClassLayout, CollapsedSpace, logsumexp, state_table
+from .counting import check_finite_log_Zhat, check_guard, colour_counts, count_code, testing_rate
+from .errors import InfeasibleParametersError, InvalidConfigurationError, InvalidModelError
+from .exact import CollapsedSpace, logsumexp
 from .model import Configuration, SpinSystem, classify_field, FIELD_ZERO
 
 DEFAULT_DELTA = 0.1
@@ -77,23 +77,15 @@ class PottsInstance(ReductionInstance):
         return collapsed_distribution_F(self, which)
 
     def outer_class(self, spins: np.ndarray) -> np.ndarray:
-        """Rank of each row's sig(H) in :func:`meanfield.enumerate_signatures`
-        order."""
-        q, N, m = self.q, self.N, self.m
-        sig = np.stack([(spins[:, N:] == c).sum(axis=1) for c in range(q)], axis=1)
-        # Lexicographic rank: at position i, the signatures with a smaller
-        # entry there number C(rem + k, k) - C(rem - s_i + k, k), where rem
-        # is what the prefix leaves of m and k = q-1-i slots follow.
-        comb = np.array(
-            [[math.comb(r + k, k) for k in range(q)] for r in range(m + 1)], dtype=np.int64
-        )
-        rank = np.zeros(len(spins), dtype=np.int64)
-        rem = np.full(len(spins), m, dtype=np.int64)
-        for i in range(q - 1):
-            k = q - 1 - i
-            rank += comb[rem, k] - comb[rem - sig[:, i], k]
-            rem -= sig[:, i]
-        return rank
+        """Rank of each row's sig(H) in the lexicographic
+        :func:`meanfield.enumerate_signatures` order: a searchsorted of count
+        codes.  A row of another length than N + m is an
+        InvalidConfigurationError."""
+        if spins.shape[1] != self.N + self.m:
+            raise InvalidConfigurationError(f"configuration rows must hold {self.N + self.m} spins")
+        radix = [self.m + 1] * self.q
+        table = count_code(meanfield.enumerate_signatures(self.m, self.q), radix)
+        return table.searchsorted(count_code(colour_counts(spins[:, self.N:], self.q), radix))
 
 
 def make_potts_instance(G: SpinSystem, m: int, beta_cross: float, beta_H: float) -> PottsInstance:
@@ -197,40 +189,24 @@ def build_potts_instance(
 
 
 def collapsed_distribution_F(inst: PottsInstance, which: str) -> CollapsedSpace:
-    """Exact collapsed space over classes (sig(H), sigma on the N block vertices).
+    """Exact collapsed space over classes (sig(H), base level).
 
-    Visible and hidden instances share the class layout, so tv_collapsed
+    Visible and hidden spaces share the classes, so tv_collapsed
     applies; :meth:`PottsInstance.class_index` gives the class order.  Each
     side's space is computed once per instance and kept on it, with
     read-only arrays, so every later call returns the same object.
     """
     spaces = inst._collapsed_spaces
-    if which not in spaces:
-        spaces[which] = _collapse(inst, which)
-    return spaces[which]
-
-
-def _collapse(inst: PottsInstance, which: str) -> CollapsedSpace:
-    q, N, m = inst.q, inst.N, inst.m
-    table = meanfield.signature_table(m, q)
-
-    # block edge weight under this model's couplings on vertices 0..N-1
-    block_lw, spins = state_table(inst.base_block(which))
-    counts = np.stack([(spins == c).sum(axis=1) for c in range(q)], axis=1).astype(float)
-
-    # total log-weight of class (s, sigma_block):
-    #   beta_H * monoedges(s) + block_lw + beta * <s, counts>
+    if which in spaces:
+        return spaces[which]
+    table = meanfield.signature_table(inst.m, inst.q)
+    counts = colour_counts(inst.levels[2], inst.q).astype(float)
+    # log-weight of class (s, level) beyond the level's block weight:
+    #   beta_H * monoedges(s) + beta * <s, counts>
     cross = table.sigs.astype(float) @ counts.T
-    log_weight = (
-        float(inst.beta_H) * table.mono_edges[:, None]
-        + block_lw[None, :]
-        + inst.beta_cross * cross
-    ).ravel()
-    log_count = np.repeat(table.log_multi, len(block_lw))
-    log_count.setflags(write=False)
-    log_weight.setflags(write=False)
-    layout = ClassLayout(("potts", q, N, m), len(log_count))
-    return CollapsedSpace(layout=layout, log_count=log_count, log_weight=log_weight)
+    outer = float(inst.beta_H) * table.mono_edges[:, None] + inst.beta_cross * cross
+    spaces[which] = inst.level_space(which, table.log_multi, outer)
+    return spaces[which]
 
 
 def phase_partition_F(inst: PottsInstance, which: str) -> tuple[float, float, float]:
@@ -240,7 +216,7 @@ def phase_partition_F(inst: PottsInstance, which: str) -> tuple[float, float, fl
     space = collapsed_distribution_F(inst, which)
     space.log_Z  # raises on a nan, infinite or zero total
     classes = meanfield.phase_classes(inst.m, inst.q)
-    # rows: H signatures; columns: block configurations
+    # rows: H signatures; columns: base levels
     t = (space.log_count + space.log_weight).reshape(len(classes.labels), -1)
     log_ZM, log_ZD, log_ZS = (logsumexp(t[idx].ravel()) for idx in classes.members)
     return log_ZM, log_ZD, log_ZS

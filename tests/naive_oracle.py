@@ -11,7 +11,9 @@ per-instance draw tables; they pin the generator stream and so have to call
 numpy's ``Generator`` the way they did.  The
 mean-field sums read the package's per-signature weights and phase labels
 (each checked against brute force elsewhere) and sum them signature by
-signature, where the package sums over energy levels.
+signature, where the package sums over energy levels.  The grouped sums add
+per-state reference weights class by class, so a collapsed space over
+levels can be compared with the per-state space it replaced.
 """
 
 import itertools
@@ -240,3 +242,35 @@ def reference_phase_split(m, q, beta_H):
         _fsum_log([w for w, lab in zip(log_w, labels) if lab == phase])
         for phase in (mf.PHASE_M, mf.PHASE_D, mf.PHASE_S)
     )
+
+
+# -- mean-field free-energy functional -----------------------------------------
+
+
+def phi(alpha, beta_scaled):
+    """Mean-field free-energy functional H(alpha) + (beta/2)*||alpha||_2^2 at
+    a simplex point alpha."""
+    if min(alpha) < -1e-12 or abs(math.fsum(alpha) - 1.0) > 1e-12:
+        raise ValueError(f"not a simplex point: {alpha!r}")
+    a = [min(max(x, 0.0), 1.0) for x in alpha]
+    entropy = -math.fsum(x * math.log(x) for x in a if x > 0)
+    return entropy + 0.5 * beta_scaled * math.fsum(x * x for x in a)
+
+
+def psi1(x, beta_scaled, q):
+    """phi restricted to the symmetric ray (x, y, ..., y), y = (1-x)/(q-1)."""
+    y = (1.0 - x) / (q - 1)
+    return phi([x] + [y] * (q - 1), beta_scaled)
+
+
+# -- grouped sums --------------------------------------------------------------
+
+
+def grouped_log_sums(index, log_values):
+    """log of the summed exp(log_values) over the entries of each index
+    0..max(index), by index: one fsum per group.  An index that no entry
+    carries is a KeyError."""
+    groups = {}
+    for k, x in zip(index.tolist(), log_values.tolist()):
+        groups.setdefault(k, []).append(x)
+    return [_fsum_log(groups[k]) for k in range(max(groups) + 1)]

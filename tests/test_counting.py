@@ -15,7 +15,7 @@ from naive_oracle import (
 )
 from spinlab import counting as ct, hubs, meanfield, potts
 from spinlab.errors import GuardViolation, InvalidConfigurationError, InvalidModelError
-from spinlab.exact import IndexSampler, partition_log
+from spinlab.exact import ExactDistribution, IndexSampler, decode_spins, partition_log
 from spinlab.model import Configuration, SpinSystem
 from spinlab.potts import ANSWER_HIGH, ANSWER_LOW, testing_rate as _rate
 
@@ -185,7 +185,8 @@ class TestTesters:
 
     def test_empirical_tester_separates(self):
         # the plug-in TV estimate needs sample counts well beyond the class
-        # count (4 * 2^N classes here), so draw many more than the contract L
+        # count (4 hub classes times the base levels here), so draw many more
+        # than the contract L
         rng = np.random.default_rng(0)
         G = cubic_antiferro(6, 2)
         log_ZG = partition_log(G)
@@ -534,6 +535,54 @@ def _assert_testers_raise(inst):
     for tester in (ct.oracle_tv_tester(0.9, 2), ct.empirical_tester(0.9, 2)):
         with pytest.raises(InvalidModelError):
             tester(inst, samples)
+
+
+@pytest.mark.parametrize("case", ["antiferro", "ferro-alternating", "potts"])
+def test_empirical_tester_rejects_rows_it_cannot_place(case):
+    """A spin outside 0..q-1, at a base vertex, a hub or in the clique, and a
+    Potts row of another length are InvalidConfigurationErrors, not a bare
+    numpy error or a row counted in a wrong class."""
+    inst, sampler = pinned_instance(case)
+    draw = sampler(inst, np.random.default_rng(0)).spins
+    tester = ct.empirical_tester(0.9, 2)
+    assert tester(inst, [draw]) in (True, False)
+    N, q = inst.N, inst.q
+    bad = [draw[:0] + (q,) + draw[1:], draw[:N] + (-1,) + draw[N + 1:]]
+    if case == "potts":
+        bad += [draw[:-1], draw + (0,), draw[:-1] + (q,)]
+    else:
+        bad += [draw[:N + 1] + (2,) + draw[N + 2:]]
+    for row in bad:
+        with pytest.raises(InvalidConfigurationError):
+            tester(inst, [row])
+
+
+@pytest.mark.parametrize("side", ["visible", "hidden"])
+def test_levels_reject_a_block_not_constant_on_them(side):
+    """A base block whose weight differs between two states of one level (two
+    couplings on the 4-cycle) is an InvalidModelError, not a space built from
+    one representative's weight."""
+    uniform = SpinSystem(q=3, n=4, edges=tuple((v, (v + 1) % 4, 0.5) for v in range(4)))
+    mixed = SpinSystem(q=3, n=4, edges=tuple((v, (v + 1) % 4, 0.5 + 0.2 * (v == 0)) for v in range(4)))
+    blocks = {"visible": uniform, "hidden": uniform, side: mixed}
+    inst = potts.PottsInstance(visible_block=blocks["visible"], hidden_block=blocks["hidden"],
+                               m=3, beta_cross=0.2, beta_H=0.9, beta_K=0.5)
+    with pytest.raises(InvalidModelError, match=side):
+        inst.collapsed_pair
+
+
+def test_class_index_with_codes_past_int64():
+    """q=40 signatures of m=2 clique vertices have count codes up to 3^40,
+    past int64: they are Python ints, and the class index still sums the
+    full configurations' probabilities onto the collapsed classes."""
+    inst = potts.make_potts_instance(SpinSystem(q=40, n=1), m=2, beta_cross=0.2, beta_H=0.9)
+    assert ct.count_code(meanfield.enumerate_signatures(2, 40), [3] * 40).dtype == object
+    model, space = inst.visible, inst.collapsed_pair[0]
+    dist = ExactDistribution.from_model(model)
+    spins = decode_spins(model, np.arange(len(dist.log_probs)))
+    mass = np.bincount(inst.class_index(spins), weights=np.exp(dist.log_probs),
+                       minlength=len(space.log_weight))
+    assert np.abs(mass - np.exp(space.log_class_masses())).max() < 1e-12
 
 
 @pytest.mark.parametrize("weights", ([0.5, np.nan], [1.0, np.inf], [2.0, -1.0], [0.0, 0.0], []))

@@ -22,7 +22,6 @@ from naive_oracle import (
 from spinlab import exact
 from spinlab.errors import BudgetExceededError, InvalidConfigurationError, InvalidModelError
 from spinlab.exact import (
-    ClassLayout,
     CollapsedSpace,
     ExactDistribution,
     decode_spins,
@@ -221,20 +220,23 @@ class TestCollapsedSpace:
     def test_log_Z_matches_expansion(self):
         # two classes: 3 states of weight e^1, 5 states of weight e^-2
         space = CollapsedSpace(
-            layout=ClassLayout(("ab",), 2),
             log_count=np.log([3.0, 5.0]),
             log_weight=np.array([1.0, -2.0]),
         )
         assert space.log_Z == pytest.approx(math.log(3 * math.e + 5 * math.e**-2))
 
     def test_tv_collapsed_requires_same_classes(self):
-        a = CollapsedSpace(ClassLayout(("x",), 1), np.zeros(1), np.zeros(1))
-        b = CollapsedSpace(ClassLayout(("y",), 1), np.zeros(1), np.zeros(1))
+        # another class count, or the same count with another multiplicity
+        a = CollapsedSpace(np.zeros(1), np.zeros(1))
+        for b in (CollapsedSpace(np.zeros(2), np.zeros(2)),
+                  CollapsedSpace(np.log([2.0]), np.zeros(1))):
+            with pytest.raises(InvalidModelError):
+                tv_collapsed(a, b)
         with pytest.raises(InvalidModelError):
-            tv_collapsed(a, b)
+            CollapsedSpace(np.zeros(2), np.zeros(3))
 
     def test_tv_collapsed_identical_is_zero(self):
-        a = CollapsedSpace(ClassLayout(("xy",), 2), np.zeros(2), np.array([0.3, -0.1]))
+        a = CollapsedSpace(np.zeros(2), np.array([0.3, -0.1]))
         assert tv_collapsed(a, a) == pytest.approx(0.0)
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from spinlab import hubs
+from spinlab import counting, hubs
 from spinlab.errors import InvalidModelError, TargetUnreachableError
 from spinlab.exact import (
     ExactDistribution,
@@ -17,6 +17,7 @@ from spinlab.exact import (
 )
 from spinlab.model import SpinSystem
 from spinlab.potts import testing_rate as _testing_rate
+from naive_oracle import grouped_log_sums
 
 
 def antiferro_base(N=2, beta=-0.6):
@@ -32,6 +33,12 @@ def ferro_base(N=2, beta=0.8, h=0.5):
     edges = tuple((i, (i + 1) % N, beta) for i in range(N)) if N > 2 else ((0, 1, beta),)
     field = tuple((v, v % 2, h) for v in range(N))
     return SpinSystem(q=2, n=N, edges=edges, field=field)
+
+
+def n_levels(inst):
+    """The number of base levels; collapsed class k has outer class
+    k // n_levels."""
+    return len(inst.levels[0])
 
 
 def small_instance(variant, n_uv=2, n_ss=4, beta1=1.1, beta2=0.7):
@@ -184,14 +191,14 @@ class TestCollapsedSpaces:
             spins = decode_spins(model, np.arange(len(dist.log_probs)))
             mass = np.bincount(
                 inst.class_index(spins), weights=np.exp(dist.log_probs),
-                minlength=space.layout.size,
+                minlength=len(space.log_weight),
             )
             assert np.abs(mass - np.exp(space.log_class_masses())).max() < 1e-12
 
     def test_partition_identity_ZM_plus_ZD(self):
         inst = small_instance(hubs.VARIANT_ANTIFERRO)
         space = hubs.collapsed_distribution_hub(inst, "visible")
-        hubs_code = np.arange(space.layout.size) >> inst.N
+        hubs_code = np.arange(len(space.log_weight)) // n_levels(inst)
         c1, c2 = hubs_code >> 1, hubs_code & 1
         lws = space.log_count + space.log_weight
         total = logsumexp([logsumexp(lws[c1 == c2]), logsumexp(lws[c1 != c2])])
@@ -205,7 +212,7 @@ class TestCollapsedSpaces:
             enforce_guard=False, strict_family=False,
         )
         space = hubs.collapsed_distribution_hub(inst, "visible")
-        hubs_code = np.arange(space.layout.size) >> inst.N
+        hubs_code = np.arange(len(space.log_weight)) // n_levels(inst)
         c1, c2 = hubs_code >> 1, hubs_code & 1
         lws = space.log_count + space.log_weight
         log_zm = logsumexp(lws[c1 == c2])
@@ -299,8 +306,9 @@ class TestHiddenSampler:
 
 
 def looped_collapsed_hub(inst, which):
-    """The hub collapsed space with its own bit decode and per-edge weight
-    loop, kept as a reference for the shared block routine."""
+    """The hub collapsed space with one class per (c1, c2, base state), with
+    its own bit decode and per-edge weight loop, kept as a reference for the
+    level collapse."""
     base = inst.base_block(which)
     N = inst.N
     idx = np.arange(1 << N, dtype=np.int64)
@@ -336,6 +344,40 @@ def test_collapsed_space_equals_looped_reference(variant, N):
         G, variant, epsilon=0.9, L=2, log_Zhat=0.0, beta1=1.1, beta2=0.7,
         enforce_guard=False, strict_family=False,
     )
+    # the reference's rows, in its (c1, c2, base state) order
+    idx = np.arange(1 << N, dtype=np.int64)
+    base = (idx[:, None] >> np.arange(N)[None, :]) & 1
+    rows = np.concatenate([
+        np.column_stack([base, np.full(1 << N, c1), np.full(1 << N, c2)])
+        for c1 in (0, 1) for c2 in (0, 1)
+    ])
+    classes = inst.class_index(rows)
+    assert len(inst.collapsed_pair[0].log_weight) == 4 * n_levels(inst)
     for which, space in zip(("visible", "hidden"), inst.collapsed_pair):
-        assert np.array_equal(space.log_weight, looped_collapsed_hub(inst, which))
-        assert np.array_equal(space.log_count, np.zeros(4 << N))
+        ref_count = grouped_log_sums(classes, np.zeros(4 << N))
+        ref_mass = grouped_log_sums(classes, looped_collapsed_hub(inst, which))
+        assert np.abs(space.log_count - ref_count).max() <= 1e-12
+        assert np.abs(space.log_count + space.log_weight - ref_mass).max() <= 1e-12
+
+
+def test_oracle_reduction_at_N16():
+    """Both branches of an oracle-TV reduction on a cubic N=16 base (4 * 2^16
+    base states per side, collapsed onto levels) answer correctly."""
+    N, eps, L = 16, 0.9, 2
+    G = antiferro_base(N=N)
+    r = _testing_rate(eps, L)
+    log_ZG = partition_log(G)
+
+    def build(G, log_Zhat):
+        return hubs.build_hub_instance(G, hubs.VARIANT_ANTIFERRO, eps, L, log_Zhat,
+                                       enforce_guard=False)
+
+    reports = counting.run_reduction_trials(
+        G, build, hubs.sample_hidden_hub, counting.oracle_tv_tester(eps, L), L,
+        branches=[("low", math.log(r) + log_ZG + 1.0, counting.ANSWER_LOW),
+                  ("high", log_ZG - math.log(r) - 1.0, counting.ANSWER_HIGH)],
+        seeds=[0], r=r,
+    )
+    assert [rep["correct"] for rep in reports] == [True, True]
+    assert reports[0]["tv_exact"] <= 1.0 / (16 * L)
+    assert reports[1]["tv_exact"] >= 1.0 - eps

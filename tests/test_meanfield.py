@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from naive_oracle import reference_log_ratio_g, reference_phase_split
+from naive_oracle import psi1, reference_log_ratio_g, reference_phase_split
 
 from spinlab import meanfield as mf
 from spinlab.exact import partition_log, restricted_partition_log
@@ -35,8 +35,8 @@ class TestCriticalPoint:
     def test_free_energy_balance_at_Bo(self):
         # at the critical coupling the two phases' functional values coincide
         crit = mf.find_critical_Bo(3)
-        disordered = mf.psi1(1.0 / 3.0, crit.Bo, 3)
-        ordered = mf.psi1(crit.alpha_hat, crit.Bo, 3)
+        disordered = psi1(1.0 / 3.0, crit.Bo, 3)
+        ordered = psi1(crit.alpha_hat, crit.Bo, 3)
         assert ordered == pytest.approx(disordered, abs=1e-9)
 
     @pytest.mark.parametrize(

@@ -8,7 +8,7 @@ from spinlab import meanfield, potts
 from spinlab.errors import GuardViolation, InfeasibleParametersError, InvalidModelError
 from spinlab.exact import ExactDistribution, decode_spins, partition_log, tv_collapsed
 from spinlab.model import SpinSystem
-from naive_oracle import reference_sample_hidden_potts
+from naive_oracle import grouped_log_sums, reference_sample_hidden_potts
 
 
 def base_graph(N=3, beta=0.5, q=3):
@@ -71,7 +71,7 @@ class TestCollapsedSpaces:
             spins = decode_spins(model, np.arange(len(dist.log_probs)))
             mass = np.bincount(
                 inst.class_index(spins), weights=np.exp(dist.log_probs),
-                minlength=space.layout.size,
+                minlength=len(space.log_weight),
             )
             assert np.abs(mass - np.exp(space.log_class_masses())).max() < 1e-12
 
@@ -118,7 +118,7 @@ class TestCollapsedSpaces:
         inst = potts.make_potts_instance(base_graph(), m=m, beta_cross=0.2, beta_H=0.9 / m)
         space = potts.collapsed_distribution_F(inst, "visible")
         labels = meanfield.classify_signatures(meanfield.enumerate_signatures(m, 3), m, 3)
-        full = np.repeat(labels, 3**3)
+        full = np.repeat(labels, len(inst.levels[0]))
         t = space.log_count + space.log_weight
         expected = tuple(
             float(logsumexp(t[full == lab])) if np.any(full == lab) else -math.inf
@@ -260,8 +260,10 @@ def test_class_descriptors_and_color_rows(q, N, m):
 
 
 def looped_collapsed_F(inst, which):
-    """The Potts collapsed space with its own base-q decode and per-edge
-    weight loop, kept as a reference for the shared block routine."""
+    """The Potts collapsed space with one class per (sig(H), base state), with
+    its own base-q decode and per-edge weight loop, kept as a reference for
+    the level collapse; returns (log_count, log_weight, rows), rows holding a
+    configuration of each class."""
     model = inst.visible if which == "visible" else inst.hidden
     q, N = inst.q, inst.N
     table = meanfield.signature_table(inst.m, q)
@@ -285,14 +287,20 @@ def looped_collapsed_F(inst, which):
         + block_lw[None, :]
         + inst.beta_cross * cross
     ).ravel()
-    return np.repeat(table.log_multi, q**N), log_weight
+    # one clique part per signature (sorted colours), then every base state
+    clique = np.array([np.repeat(np.arange(q), sig) for sig in table.sigs]).reshape(-1, inst.m)
+    rows = np.column_stack([np.tile(spins, (len(clique), 1)), np.repeat(clique, q**N, axis=0)])
+    return np.repeat(table.log_multi, q**N), log_weight, rows
 
 
 @pytest.mark.parametrize("q, N, m", [(3, 3, 4), (3, 4, 30), (4, 3, 5), (5, 3, 6)])
 def test_collapsed_space_equals_looped_reference(q, N, m):
     inst = potts.make_potts_instance(base_graph(N=N, q=q), m=m, beta_cross=0.2, beta_H=0.9 / m)
+    n_sigs = len(meanfield.enumerate_signatures(m, q))
     for which, space in zip(("visible", "hidden"), inst.collapsed_pair):
-        log_count, log_weight = looped_collapsed_F(inst, which)
-        assert np.array_equal(space.log_count, log_count)
-        assert np.array_equal(space.log_weight, log_weight)
-        assert space.layout.size == len(log_weight)
+        log_count, log_weight, rows = looped_collapsed_F(inst, which)
+        classes = inst.class_index(rows)
+        assert len(space.log_weight) == n_sigs * len(inst.levels[0])
+        assert np.abs(space.log_count - grouped_log_sums(classes, log_count)).max() <= 1e-12
+        mass = grouped_log_sums(classes, log_count + log_weight)
+        assert np.abs(space.log_count + space.log_weight - mass).max() <= 1e-12
