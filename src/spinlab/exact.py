@@ -18,9 +18,12 @@ build costs about q^k * q/(q-1) additions where one pass per edge and field
 row cost (|E| + n) * q^k.  The top n-k vertices index the blocks and add
 their T(v) in the same order, so ``block_log_weights`` on decoded spins gives
 the same bits; spin matrices broadcast ``arange(q)`` the same way, so nothing
-is decoded.  Every entry point is guarded by the same bit budget on q^n.
-Enumeration order is lexicographic in base q with vertex 0 as the least
-significant digit (axis k-1-v).  ``logsumexp`` has scipy's bits.
+is decoded.  Every entry point is guarded by the same gate: a bit budget on
+q^n and a finite bound sum|beta| + sum_v max_s |h(v,s)| + n ln q on the
+weights, so no engine answers an infinite or nan log Z.  Enumeration order
+is lexicographic in base q with vertex 0 as the least significant digit
+(axis k-1-v).  ``logsumexp`` and ``log_factorials`` have scipy's bits
+(``logsumexp`` and ``gammaln``), so the package needs no scipy at run time.
 
 Each yielded block of log-weights belongs to its consumer, so ``tv_exact``
 turns a block pair into |p_A - p_B| in place and a restricted sum takes the
@@ -46,15 +49,31 @@ from .model import Configuration, SpinSystem
 DEFAULT_BUDGET_BITS = 26
 _BLOCK_BITS = 20  # fixed block size so sums are reproducible
 _P_SUM_ATOL = math.sqrt(np.finfo(np.float64).eps)  # rng.choice's tolerance on sum(p)
+# A probability table whose mass is off by more than this was normalised by
+# a log Z too large for its rounding to vanish, and is normalised again.
+_MASS_TOL = 64 * float(np.finfo(np.float64).eps)
 
 _log = logging.getLogger("spinlab.exact")
 
 
 def check_budget(model: SpinSystem, budget_bits: float = DEFAULT_BUDGET_BITS) -> None:
+    """The entry gate of every engine: the state count within the bit
+    budget, and a finite bound sum|beta| + sum_v max_s |h(v,s)| + n ln q on
+    |log Z| and on every partial sum of a state's log-weight, so no engine
+    can overflow to an infinite or nan log Z."""
     if math.isnan(budget_bits):
         raise InvalidConfigurationError("budget_bits must be a number, got nan")
     if model.log2_states() > budget_bits + 1e-9:
         raise BudgetExceededError(model.n, model.q, budget_bits)
+    # Python sums: an overflow is a quiet inf, as numpy's would warn
+    bound = (sum(abs(beta) for _, _, beta in model.edges)
+             + sum(np.abs(model.field_array).max(axis=1).tolist())
+             + model.n * math.log(model.q))
+    if not math.isfinite(bound):
+        raise InvalidModelError(
+            "weights too large: sum |beta| + sum_v max_s |h(v,s)| + n ln q overflows a float, "
+            "so log Z could be infinite or nan"
+        )
 
 
 def decode_spins(model: SpinSystem, indices: np.ndarray) -> np.ndarray:
@@ -179,6 +198,40 @@ def _logsumexp(a: np.ndarray, out: Optional[np.ndarray]) -> float:
         shifted[top] = -np.inf
         s = np.exp(shifted, out=shifted).sum()
     return float(np.log1p(s / count) + np.log(count) + peak)
+
+
+_LS2PI = 0.91893853320467274178  # log(sqrt(2 pi))
+_STIRLING = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
+             -2.77777777730099687205e-3, 8.33333333333331927722e-2)
+
+
+@lru_cache(maxsize=64)
+def log_factorials(n: int) -> np.ndarray:
+    """Cached read-only table of log k! for k = 0..n, with the bits of
+    ``scipy.special.gammaln(k + 1)``: a transcription of cephes ``lgam``
+    (Moshier 1989) at integer x = k + 1.  For x < 13 it is the log of the
+    exact float product (x-1)!; otherwise (x - 1/2) log x - x + log sqrt(2 pi)
+    plus the Stirling tail in 1/x^2, shortened for x >= 1000.  (cephes drops
+    the tail past x = 1e8, far beyond any table built here.)"""
+    out = np.empty(n + 1)
+    for k in range(n + 1):
+        x = k + 1.0
+        if x < 13.0:
+            out[k] = math.log(math.factorial(k))
+            continue
+        lg = (x - 0.5) * math.log(x) - x + _LS2PI
+        p = 1.0 / (x * x)
+        if x >= 1000.0:
+            lg += ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+                   + 0.0833333333333333333333) / x
+        else:
+            tail = _STIRLING[0]
+            for c in _STIRLING[1:]:
+                tail = tail * p + c
+            lg += tail / x
+        out[k] = lg
+    out.setflags(write=False)
+    return out
 
 
 def _min_fill_order(model: SpinSystem) -> tuple[list[int], int]:
@@ -324,17 +377,34 @@ def tv_exact(model_a: SpinSystem, model_b: SpinSystem) -> float:
         raise InvalidModelError("tv_exact requires matching n and q")
     log_za = partition_log(model_a)
     log_zb = partition_log(model_b)
-    total = 0.0
-    # |exp(lwa - log_za) - exp(lwb - log_zb)| computed in the blocks themselves
+    total, mass_a, mass_b = _tv_blocks(model_a, model_b, log_za, log_zb, 0.0, 0.0)
+    if abs(mass_a - 1.0) + abs(mass_b - 1.0) > _MASS_TOL:
+        total, _, _ = _tv_blocks(model_a, model_b, log_za, log_zb,
+                                 math.log(mass_a), math.log(mass_b))
+    return 0.5 * total
+
+
+def _tv_blocks(model_a: SpinSystem, model_b: SpinSystem, log_za: float, log_zb: float,
+               rest_a: float, rest_b: float) -> tuple[float, float, float]:
+    """(sum |p_A - p_B|, sum p_A, sum p_B) for p = exp(lw - log Z - rest),
+    computed in the blocks themselves.  An error d in a computed log Z
+    scales every p by e^-d, and d grows with |log Z| (about 4e-12 at
+    log Z = 16,385, where its ulp is), so a caller whose masses are off
+    takes the measured log mass out as ``rest``: lw - log Z is exact near
+    the peak, where the mass is."""
+    total = mass_a = mass_b = 0.0
     for (lwa, _), (lwb, _) in zip(iter_blocks(model_a), iter_blocks(model_b)):
-        lwa -= log_za
-        np.exp(lwa, out=lwa)
-        lwb -= log_zb
-        np.exp(lwb, out=lwb)
+        for lw, log_z, rest in ((lwa, log_za, rest_a), (lwb, log_zb, rest_b)):
+            lw -= log_z
+            if rest:
+                lw -= rest
+            np.exp(lw, out=lw)
+        mass_a += float(np.sum(lwa))
+        mass_b += float(np.sum(lwb))
         lwa -= lwb
         np.abs(lwa, out=lwa)
         total += float(np.sum(lwa))
-    return 0.5 * total
+    return total, mass_a, mass_b
 
 
 @dataclass(frozen=True)
@@ -352,7 +422,11 @@ class ExactDistribution:
         check_budget(model, budget_bits)
         lw = np.concatenate([w for w, _ in iter_blocks(model)])
         log_z = logsumexp(lw)
-        return cls(model=model, log_Z=log_z, log_probs=lw - log_z)
+        log_probs = lw - log_z
+        mass = float(np.exp(log_probs).sum())
+        if abs(mass - 1.0) > _MASS_TOL:  # log Z's rounding, as in tv_exact
+            log_probs -= math.log(mass)
+        return cls(model=model, log_Z=log_z, log_probs=log_probs)
 
     def configuration(self, index: int) -> Configuration:
         return Configuration(tuple(decode_spins(self.model, np.array([index]))[0].tolist()))

@@ -28,7 +28,6 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from scipy.special import gammaln
 
 from .counting import ReductionInstance, check_finite_log_Zhat, check_guard, colour_counts, testing_rate
 from .errors import InvalidModelError, TargetUnreachableError
@@ -38,7 +37,7 @@ from .model import (
     classify_field,
     FIELD_ZERO,
 )
-from .exact import CollapsedSpace, IndexSampler, logsumexp, partition_log
+from .exact import CollapsedSpace, IndexSampler, log_factorials, logsumexp, partition_log
 
 VARIANT_ANTIFERRO = "antiferro"
 VARIANT_FERRO = "ferro-field"
@@ -115,6 +114,7 @@ class HubInstance(ReductionInstance):
         N = self.N
         same_u, diff_u = _u_factors(self.variant, self.beta1, self.n_uv)
         sizes = [len(group) for group in self.field_groups]
+        lf = log_factorials(N)
         descriptors: list[tuple] = []
         log_count: list[float] = []
         log_weight: list[float] = []
@@ -126,7 +126,7 @@ class HubInstance(ReductionInstance):
                 mono = k * (k - 1) // 2 + (N - k) * (N - k - 1) // 2
                 lc = fld = 0.0
                 for g, (n, kg) in enumerate(zip(sizes, ks)):
-                    lc = lc + gammaln(n + 1) - gammaln(kg + 1) - gammaln(n - kg + 1)
+                    lc = lc + lf[n] - lf[kg] - lf[n - kg]
                     fld = fld + self.h_hat * (kg if g == 0 else n - kg)
                 descriptors.append((c1, c2, *ks))
                 log_count.append(float(lc))

@@ -3,13 +3,20 @@ import hashlib
 import io
 import json
 import math
+import os
+import sys
+import tempfile
 
 import networkx as nx
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings, strategies as st
 
+from naive_oracle import naive_log_Z, naive_restricted_log, naive_tv
 from spinlab import hubs
 from spinlab.cli import main
+from spinlab.errors import InvalidModelError
+from spinlab.exact import partition_log, restricted_partition_multi, tv_exact
 from spinlab.model import SpinSystem, model_from_dict, save_model
 
 
@@ -92,6 +99,112 @@ class TestExact:
         result = runner.invoke(main, ["exact", k3_path, "--out", str(out)])
         assert result.exit_code == 0
         assert "log_Z" in json.loads(out.read_text())
+
+    @pytest.mark.parametrize("doc", [
+        # printed "log_Z": NaN with exit 0
+        {"q": 2, "n": 3, "edges": [[0, 1, 1e308], [1, 2, 1e308]], "field": []},
+        # printed "log_Z": Infinity with exit 0
+        {"q": 2, "n": 2, "edges": [], "field": [[0, 0, 1e308], [1, 0, 1e308]]},
+    ], ids=["nan", "infinity"])
+    def test_overflowing_weights_are_an_error(self, runner, tmp_path, doc):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        for fmt in ("json", "csv"):
+            result = runner.invoke(main, ["exact", str(path), "--format", fmt])
+            assert result.exit_code == 1
+            assert "Error: weights too large" in result.output
+            assert "Traceback" not in result.output
+            assert isinstance(result.exception, SystemExit)
+
+
+def _finite_constant(name):
+    raise ValueError(f"non-finite {name} in a report")
+
+
+@st.composite
+def weight_documents(draw):
+    """Schema-valid model documents, q 2-4 and n 0-6, with couplings and
+    fields drawn from moderate values and from the whole range +-1e308."""
+    q = draw(st.integers(2, 4))
+    n = draw(st.integers(0, 6))
+    weights = st.one_of(st.floats(-5.0, 5.0), st.floats(-1e308, 1e308))
+    edges = [[u, v, draw(weights)] for u in range(n) for v in range(u + 1, n) if draw(st.booleans())]
+    keys = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, q - 1)), max_size=2 * n)) if n else ()
+    field = [[v, s, draw(weights)] for v, s in sorted(keys)]
+    return {"q": q, "n": n, "edges": edges, "field": field}
+
+
+def _even(sigma):
+    return sum(sigma) % 2 == 0
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(weight_documents())
+@example({"q": 2, "n": 3, "edges": [[0, 1, 1e308], [1, 2, 1e308]], "field": []})
+@example({"q": 2, "n": 2, "edges": [], "field": [[0, 0, 1e308], [1, 0, 1e308]]})
+@example({"q": 2, "n": 3, "edges": [[0, 1, 1e308], [1, 2, -1e308]], "field": []})
+# log Z ~ 16385 and ~1e300: log Z's rounding mis-normalised p (TV 0.5 + 1.6e-12, 2.0)
+@example({"q": 2, "n": 3, "edges": [], "field": [[0, 0, 16384.0]]})
+@example({"q": 2, "n": 3, "edges": [], "field": [[0, 0, 1e300]]})
+# ulp(h) = 1: the two summation orders round the state weights apart
+@example({"q": 2, "n": 4, "edges": [[0, 1, 2.5], [0, 2, 1.0]], "field": [[0, 0, 4503599627370494.0]]})
+def test_exact_never_reports_a_non_finite_value(doc):
+    """Any schema-valid document exits 0 with finite values that agree with
+    the naive oracle, or exits 1 with an Error: line; never NaN, Infinity or
+    a traceback.  The engine sums a state's terms vertex by vertex and the
+    oracle edges first, so besides 1e-12 relative the two may differ by the
+    forward error of those sums, (|E| + n) eps B per side for the bound B =
+    sum |beta| + sum_v max_s |h(v,s)|, and TVs by the factor that puts on p."""
+    runner = CliRunner()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        reports = []
+        for fmt in ("json", "csv"):
+            result = runner.invoke(main, ["exact", path, "--format", fmt])
+            assert result.exit_code in (0, 1), result.output
+            assert "Traceback" not in result.output
+            assert result.exception is None or isinstance(result.exception, SystemExit)
+            if result.exit_code == 1:
+                assert result.output.startswith("Error:")
+                continue
+            if fmt == "json":
+                reports.append(json.loads(result.output, parse_constant=_finite_constant))
+            else:
+                header, row = csv.reader(io.StringIO(result.output))
+                reports.append({k: json.loads(v, parse_constant=_finite_constant)
+                                for k, v in zip(header, row)})
+    model = model_from_dict(doc)
+    flat = SpinSystem(q=model.q, n=model.n)
+    bound = sum(abs(beta) for *_, beta in model.edges) + sum(abs(model.field_array).max(axis=1).tolist())
+    # (|E| + n) eps B per side, doubled for slack; inf when the bound overflows
+    order_error = 4.0 * (len(model.edges) + model.n) * sys.float_info.epsilon * bound
+    engines = {
+        "partition_log": (lambda: partition_log(model),
+                          lambda: naive_log_Z(model.q, model.n, model.edges, model.field)),
+        "tv_exact": (lambda: tv_exact(model, flat),
+                     lambda: naive_tv(model.q, model.n, model.edges, model.field, (), ())),
+        "restricted": (
+            lambda: restricted_partition_multi(model, [lambda s: s.sum(axis=1) % 2 == 0])[0],
+            lambda: naive_restricted_log(model.q, model.n, model.edges, model.field, _even)),
+    }
+    for name, (engine, oracle) in engines.items():
+        try:
+            got = engine()
+        except InvalidModelError:
+            assert not reports, name  # the CLI runs the same entry gate
+            continue
+        assert len(reports) == 2 and reports[0] == reports[1]
+        assert math.isfinite(got), name
+        if name == "tv_exact":
+            assert 0.0 <= got <= 1.0
+            tol = 1e-12 + math.expm1(min(2.0 * order_error, 700.0))
+        else:
+            tol = order_error
+        assert math.isclose(got, oracle(), rel_tol=1e-12, abs_tol=tol), (name, got, oracle())
+    if reports:
+        assert reports[0]["log_Z"] == partition_log(model)
 
 
 class TestMeanfieldSweep:

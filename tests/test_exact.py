@@ -8,7 +8,7 @@ import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from scipy.special import logsumexp
+from scipy.special import gammaln, logsumexp
 
 from naive_oracle import (
     naive_log_Z,
@@ -19,7 +19,7 @@ from naive_oracle import (
     reference_block_split,
     reference_block_tv,
 )
-from spinlab import exact
+from spinlab import exact, gadget
 from spinlab.errors import BudgetExceededError, InvalidConfigurationError, InvalidModelError
 from spinlab.exact import (
     CollapsedSpace,
@@ -179,11 +179,27 @@ class TestTvExact:
         with pytest.raises(InvalidModelError):
             tv_exact(make(2, 3, ()), make(2, 4, ()))
 
+    @pytest.mark.parametrize("h", [16384.0, 1e15, 1e300])
+    def test_normalised_far_from_zero(self, h):
+        # log Z = h + log 4 rounds at h's ulp; the TV against uniform is 1/2
+        a = make(2, 3, (), ((0, 0, h),))
+        flat = make(2, 3, ())
+        assert tv_exact(a, flat) == pytest.approx(0.5, rel=1e-15)
+        assert tv_exact(flat, a) == pytest.approx(0.5, rel=1e-15)
+
 
 class TestExactDistribution:
     def test_probs_sum_to_one(self):
         dist = ExactDistribution.from_model(make(3, 3, ((0, 1, 0.8),)))
         assert np.exp(dist.log_probs).sum() == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("h", [16384.0, 1e15, 1e300])
+    def test_probs_sum_to_one_far_from_zero(self, h):
+        # the four states with s_0 = 0 share the mass; log Z rounds at h's ulp
+        dist = ExactDistribution.from_model(make(2, 3, (), ((0, 0, h),)))
+        probs = np.exp(dist.log_probs)
+        assert probs.sum() == pytest.approx(1.0, rel=1e-15)
+        assert probs[::2] == pytest.approx(np.full(4, 0.25), rel=1e-15)
 
     def test_sampler_matches_distribution(self):
         m = make(2, 4, ((0, 1, 1.2), (2, 3, -0.8)), field=((0, 0, 0.4),))
@@ -486,6 +502,56 @@ class TestLogsumexp:
         assert exact.logsumexp(np.zeros(0)) == -math.inf
         for a in ([0.5], [-3.0, 2.0], [1, 1, 1], [-math.inf, 0.0], [-math.inf] * 2):
             assert np.float64(exact.logsumexp(a)).tobytes() == np.float64(logsumexp(a)).tobytes()
+
+
+class TestLogFactorials:
+    def test_bits_equal_scipy_gammaln(self):
+        # cephes lgam on both sides of x = 13 and x = 1000, out to 200,001
+        got = exact.log_factorials(200_000)
+        want = gammaln(np.arange(1, 200_002))
+        assert got.tobytes() == want.tobytes()
+
+    def test_cached_and_read_only(self):
+        table = exact.log_factorials(40)
+        assert exact.log_factorials(40) is table
+        assert not table.flags.writeable
+        assert exact.log_factorials(0).tolist() == [0.0]
+
+
+# Schema-valid models whose bound sum |beta| + sum_v max_s |h(v,s)| + n ln q
+# overflows: the first answered log Z = nan (an inf - inf shift), the second
+# inf, the third 1e308, an answer no partial sum can be trusted for.
+OVERFLOWING = [
+    make(2, 3, ((0, 1, 1e308), (1, 2, 1e308))),
+    make(2, 2, (), ((0, 0, 1e308), (1, 0, 1e308))),
+    make(2, 3, ((0, 1, 1e308), (1, 2, -1e308))),
+]
+
+
+class TestEntryGate:
+    @pytest.mark.parametrize("model", OVERFLOWING, ids=["nan", "inf", "plus-minus"])
+    def test_overflowing_weights_are_invalid(self, model):
+        engines = [
+            lambda: partition_log(model),
+            lambda: restricted_partition_multi(model, [lambda s: s[:, 0] == 0]),
+            lambda: tv_exact(model, make(model.q, model.n, ())),
+            lambda: tv_exact(make(model.q, model.n, ()), model),
+            lambda: ExactDistribution.from_model(model),
+            lambda: gadget.ground_state_mass(model),
+        ]
+        for engine in engines:
+            with pytest.raises(InvalidModelError, match="weights too large"):
+                engine()
+
+    def test_largest_finite_bound_passes(self):
+        # sum |beta| + n ln 2 stays finite: log Z is the largest state weight plus log 2
+        big = 0.5 * np.finfo(np.float64).max
+        model = make(2, 3, ((0, 1, big), (1, 2, big * (1 - 1e-15))))
+        assert partition_log(model) == pytest.approx(big * (2 - 1e-15), rel=1e-15)
+
+    def test_budget_checked_first(self):
+        with pytest.raises(BudgetExceededError):
+            partition_log(make(2, 30, ((0, 1, 1e308), (1, 2, 1e308))))
 
 
 @st.composite

@@ -56,12 +56,14 @@ class TestCriticalPoint:
         assert repr(crit.alpha_hat) == alpha_hat
 
     def test_import_leaves_scipy_optimize_unloaded(self):
-        # the closed form needs no optimiser; importing one costs every process
-        code = "import sys, spinlab; print('scipy.optimize' in sys.modules)"
+        # the closed form needs no optimiser and exact.log_factorials no
+        # gammaln: neither the package nor the CLI loads any scipy module
         src = os.path.dirname(os.path.dirname(mf.__file__))
         env = {**os.environ, "PYTHONPATH": src}
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-        assert out.stdout.strip() == "False", out.stderr
+        for module in ("spinlab", "spinlab.cli"):
+            code = f"import sys, {module}; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+            out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+            assert out.stdout.strip() == "[]", (module, out.stdout, out.stderr)
 
 
 class TestSignatures:
